@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/check.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -10,20 +11,19 @@ namespace spectral {
 
 namespace {
 
-// How a batch slot was served, recorded on OrderingResult::detail. The tag
+// Records how a result was served, typed and as the detail tag. The outcome
 // mirrors what a one-at-a-time replay would report, so batched and serial
 // results stay byte-identical.
-enum class ServeKind { kOff, kHit, kMiss };
-
-void Annotate(OrderingResult& result, ServeKind kind) {
-  switch (kind) {
-    case ServeKind::kOff:
+void Annotate(OrderingResult& result, CacheOutcome outcome) {
+  result.cache = outcome;
+  switch (outcome) {
+    case CacheOutcome::kOff:
       result.detail += " | cache=off";
       return;
-    case ServeKind::kHit:
+    case CacheOutcome::kHit:
       result.detail += " | cache=hit";
       return;
-    case ServeKind::kMiss:
+    case CacheOutcome::kMiss:
       result.detail += " | cache=miss";
       return;
   }
@@ -45,8 +45,28 @@ StatusOr<OrderingResult> MappingService::Order(const OrderingRequest& request) {
   return std::move(results.front());
 }
 
+std::optional<OrderingResult> MappingService::Lookup(
+    const Fingerprint128& fingerprint) {
+  if (options_.cache_capacity == 0) return std::nullopt;
+  std::optional<OrderingResult> result;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(fingerprint);
+    if (it == index_.end()) return std::nullopt;
+    lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+    result = it->second->second;
+    stats_.requests += 1;
+    stats_.cache_hits += 1;
+  }
+  Annotate(*result, CacheOutcome::kHit);
+  return result;
+}
+
 std::vector<StatusOr<OrderingResult>> MappingService::OrderBatch(
-    std::span<const OrderingRequest> requests) {
+    std::span<const OrderingRequest> requests,
+    std::span<const Fingerprint128> fingerprints) {
+  SPECTRAL_CHECK(fingerprints.empty() ||
+                 fingerprints.size() == requests.size());
   const WallTimer batch_timer;
   const bool cache_enabled = options_.cache_capacity > 0;
 
@@ -80,7 +100,8 @@ std::vector<StatusOr<OrderingResult>> MappingService::OrderBatch(
       ++invalid;
       continue;
     }
-    const Fingerprint128 fp = requests[i].Fingerprint();
+    const Fingerprint128 fp =
+        fingerprints.empty() ? requests[i].Fingerprint() : fingerprints[i];
     auto [it, inserted] = job_of.try_emplace(fp, jobs.size());
     if (inserted) {
       Job job;
@@ -240,9 +261,9 @@ std::vector<StatusOr<OrderingResult>> MappingService::OrderBatch(
     }
     for (size_t k = 0; k < job.slots.size(); ++k) {
       OrderingResult copy = *job.result;
-      Annotate(copy, !cache_enabled ? ServeKind::kOff
-               : (job.cached || k > 0) ? ServeKind::kHit
-                                       : ServeKind::kMiss);
+      Annotate(copy, !cache_enabled ? CacheOutcome::kOff
+               : (job.cached || k > 0) ? CacheOutcome::kHit
+                                       : CacheOutcome::kMiss);
       results[job.slots[k]] = std::move(copy);
     }
   }

@@ -4,6 +4,7 @@
 //   MappingService service;
 //   auto result = service.Order(OrderingRequest::ForPoints(points));
 //   auto batch  = service.OrderBatch(requests);
+//   auto cached = service.Lookup(request.Fingerprint());  // never solves
 //
 // OrderBatch deduplicates requests by fingerprint, consults an LRU order
 // cache (keyed by OrderingRequest::Fingerprint(), a content hash of input +
@@ -11,17 +12,20 @@
 // shared util/thread_pool. That same pool is handed down to the spectral
 // engines (SpectralLpmOptions::pool), so request fan-out, per-component
 // Fiedler solves, and row-partitioned matvecs all draw from a single set of
-// workers instead of nesting a pool per request.
+// workers instead of nesting a pool per request. Lookup probes the same
+// cache for one request and returns nothing on a miss, so a serving tier
+// can answer hits without batching them.
 //
 // Determinism contract: results are byte-identical to issuing the requests
 // one at a time against a fresh engine — cache on or off, any parallelism —
 // because every engine solve is deterministic and independent. The only
-// service-added artifact is a " | cache=hit|miss|off" suffix on
-// OrderingResult::detail recording how each request was served; hit/miss/
-// eviction *counters* live in the MappingServiceStats struct. (One
-// divergence from a strict serial replay: within a batch, duplicate
-// requests are served from one solve even if a serial replay would have
-// evicted the entry in between; the order payload is identical either way.)
+// service-added artifacts record how each request was served: the typed
+// OrderingResult::cache outcome and the matching " | cache=hit|miss|off"
+// suffix on OrderingResult::detail; hit/miss/eviction *counters* live in
+// the MappingServiceStats struct. (One divergence from a strict serial
+// replay: within a batch, duplicate requests are served from one solve
+// even if a serial replay would have evicted the entry in between; the
+// order payload is identical either way.)
 
 #ifndef SPECTRAL_LPM_CORE_MAPPING_SERVICE_H_
 #define SPECTRAL_LPM_CORE_MAPPING_SERVICE_H_
@@ -30,6 +34,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -90,7 +95,8 @@ struct MappingServiceStats {
   /// Eigensolver matvecs performed by those solves. Unchanged by a
   /// warm-cache batch: repeats cost zero additional eigensolver work.
   int64_t solver_matvecs = 0;
-  /// OrderBatch invocations (Order() counts as a batch of one).
+  /// OrderBatch invocations (Order() counts as a batch of one; Lookup
+  /// hits are requests but never batches).
   int64_t batches = 0;
   /// Valid requests served from another request in the *same* batch
   /// (within-batch fingerprint dedup; a subset of cache_hits).
@@ -120,7 +126,8 @@ struct OrderCacheEntry {
   OrderingResult result;
 };
 
-/// Thread-safe facade: Order/OrderBatch may be called from any thread.
+/// Thread-safe facade: Order/OrderBatch/Lookup may be called from any
+/// thread.
 class MappingService {
  public:
   explicit MappingService(MappingServiceOptions options = {});
@@ -135,8 +142,21 @@ class MappingService {
   /// Requests are deduplicated by fingerprint, cache-checked, and the
   /// remaining solves run largest-first on the shared pool. A failed solve
   /// fails every duplicate of that request with the same status.
+  /// `fingerprints`, when non-empty, holds requests[i].Fingerprint() for
+  /// every i (a caller that already hashed the requests, e.g. for Lookup,
+  /// passes them on instead of hashing twice); empty = hash here.
   std::vector<StatusOr<OrderingResult>> OrderBatch(
-      std::span<const OrderingRequest> requests);
+      std::span<const OrderingRequest> requests,
+      std::span<const Fingerprint128> fingerprints = {});
+
+  /// Serves a request from the order cache without ever solving.
+  /// `fingerprint` is the request's Fingerprint(). On a hit, returns the
+  /// result exactly as an OrderBatch hit carries it (cache == kHit, the
+  /// same " | cache=hit" detail bytes), refreshes the entry's recency, and
+  /// counts one request and one cache hit but no batch. On a miss, or with
+  /// caching disabled, returns nullopt and counts nothing: the caller
+  /// hands the request to OrderBatch, which counts it there.
+  std::optional<OrderingResult> Lookup(const Fingerprint128& fingerprint);
 
   MappingServiceStats stats() const;
   /// Zeroes the counters (the cache contents are retained).

@@ -34,6 +34,19 @@
 
 namespace spectral {
 
+/// How MappingService served a result: the typed form of the
+/// " | cache=off|hit|miss" tag it appends to OrderingResult::detail.
+enum class CacheOutcome {
+  /// No order cache was consulted: a direct engine call, or a service with
+  /// caching disabled.
+  kOff,
+  /// Served without a solve: from the order cache, or from a duplicate
+  /// solved earlier in the same batch.
+  kHit,
+  /// Solved by an engine.
+  kMiss,
+};
+
 /// A linear order plus the diagnostics of whichever method produced it.
 /// Fields a method does not populate keep their zero defaults.
 struct OrderingResult {
@@ -77,6 +90,11 @@ struct OrderingResult {
   /// ...) for CLIs and bench logs. MappingService appends a " | cache=..."
   /// suffix recording how it served the request.
   std::string detail;
+
+  /// How MappingService served this result (set together with the detail
+  /// suffix). Callers branch on this, never on the detail text. Cache
+  /// entries and snapshots store kOff; the outcome belongs to each serve.
+  CacheOutcome cache = CacheOutcome::kOff;
 
   /// False when a spectral solve exhausted its restart budget and the order
   /// is a best-effort estimate (mirrored as a "converged=0/1" token in

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cmath>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -73,9 +74,35 @@ std::future<StatusOr<OrderingResult>> OrderingServer::Submit(
   if (deadline_ms < 0.0) deadline_ms = options_.default_deadline_ms;
   const SteadyClock::time_point now = SteadyClock::now();
 
+  bool shut_down = false;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    shut_down = shutdown_;
+  }
+  if (shut_down) {
+    promise.set_value(FailedPreconditionError("server is shut down"));
+    return future;
+  }
+  // A cache hit is answered here, on the submitting thread: it never waits
+  // for the queue, the window, or another request's solve. The fingerprint
+  // travels with a miss into OrderBatch, so no request is hashed twice.
+  const Fingerprint128 fingerprint = request.Fingerprint();
+  if (std::optional<OrderingResult> hit = service_.Lookup(fingerprint)) {
+    {
+      std::lock_guard<std::mutex> slock(stats_mu_);
+      ++accepted_;
+      ++served_ok_;
+      RecordLatencyLocked(ToMs(SteadyClock::now() - now), /*warm=*/true);
+    }
+    promise.set_value(std::move(*hit));
+    return future;
+  }
+
   size_t depth = 0;
   {
     std::unique_lock<std::mutex> lock(queue_mu_);
+    // Checked again: Shutdown() may have joined the batcher since the
+    // check above, and a request queued now would never be served.
     if (shutdown_) {
       lock.unlock();
       promise.set_value(FailedPreconditionError("server is shut down"));
@@ -94,6 +121,7 @@ std::future<StatusOr<OrderingResult>> OrderingServer::Submit(
     }
     Pending pending;
     pending.request = std::move(request);
+    pending.fingerprint = fingerprint;
     pending.promise = std::move(promise);
     pending.enqueue = now;
     if (deadline_ms > 0.0) {
@@ -198,19 +226,23 @@ void OrderingServer::DispatchBatch(std::vector<Pending> batch) {
   }
 
   std::vector<OrderingRequest> requests;
+  std::vector<Fingerprint128> fingerprints;
   requests.reserve(live.size());
-  for (const Pending& pending : live) requests.push_back(pending.request);
+  fingerprints.reserve(live.size());
+  for (Pending& pending : live) {
+    requests.push_back(std::move(pending.request));
+    fingerprints.push_back(pending.fingerprint);
+  }
   std::vector<StatusOr<OrderingResult>> results =
-      service_.OrderBatch(requests);
+      service_.OrderBatch(requests, fingerprints);
 
   const SteadyClock::time_point done = SteadyClock::now();
   {
     std::lock_guard<std::mutex> slock(stats_mu_);
     for (size_t i = 0; i < live.size(); ++i) {
       if (results[i].ok()) {
-        const bool warm =
-            results[i]->detail.find(" | cache=hit") != std::string::npos;
-        RecordLatencyLocked(ToMs(done - live[i].enqueue), warm);
+        RecordLatencyLocked(ToMs(done - live[i].enqueue),
+                            results[i]->cache == CacheOutcome::kHit);
         ++served_ok_;
       } else {
         ++served_error_;

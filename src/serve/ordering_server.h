@@ -5,21 +5,36 @@
 // submit OrderingRequests directly and get futures back. Either way every
 // request flows through the same path:
 //
-//   Submit -> admission control -> bounded queue -> aggregation window ->
-//   one MappingService::OrderBatch -> completion
+//   Submit -> fingerprint -> order-cache probe --hit--> completion
+//                                      |
+//                                     miss -> admission control ->
+//   bounded queue -> aggregation window -> one MappingService::OrderBatch
+//   -> completion
 //
-// * Aggregation window: the batcher thread collects requests that arrive
-//   within `window_ms` of the oldest pending one (or until `max_batch`)
-//   and serves them as ONE OrderBatch call, so concurrently-arriving
-//   duplicates are coalesced into a single solve by fingerprint dedup and
-//   distinct requests share the solver fan-out. Orders are byte-identical
-//   to direct serial engine calls at any window size (the MappingService
-//   determinism contract; test-enforced).
+// * Hits at admission: Submit fingerprints the request once and probes the
+//   MappingService order cache (MappingService::Lookup). A hit is answered
+//   on the submitting thread before Submit returns — it never enters the
+//   queue, the window, or the batcher, so it never waits for another
+//   request's solve. It is answered while the server is paused, while the
+//   queue is full, and before any deadline can pass; it never reaches the
+//   "serve.dispatch" fault site. Only Shutdown() refuses it
+//   (FAILED_PRECONDITION). Its bytes equal a batched hit's (" | cache=hit",
+//   CacheOutcome::kHit). The window, queue and deadline rules below apply
+//   to misses only.
+// * Aggregation window: the batcher thread collects queued requests that
+//   arrive within `window_ms` of the oldest pending one (or until
+//   `max_batch`) and serves them as ONE OrderBatch call, handing on the
+//   admission fingerprints so nothing is hashed twice. Concurrently-
+//   arriving duplicates are coalesced into a single solve by fingerprint
+//   dedup, and a request queued while its fingerprint is being solved
+//   becomes a hit in the next batch, not a second solve. Orders are
+//   byte-identical to direct serial engine calls at any window size (the
+//   MappingService determinism contract; test-enforced).
 // * Admission control + deadlines: when the queue holds `max_queue`
-//   requests, new submissions are shed immediately with RESOURCE_EXHAUSTED;
-//   a request whose deadline passes before its batch is dispatched
-//   completes with DEADLINE_EXCEEDED. Responses always arrive — overload
-//   and expiry produce a clean Status, never a hang.
+//   requests, new uncached submissions are shed immediately with
+//   RESOURCE_EXHAUSTED; a queued request whose deadline passes before its
+//   batch is dispatched completes with DEADLINE_EXCEEDED. Responses always
+//   arrive — overload and expiry produce a clean Status, never a hang.
 // * Cache persistence: SaveSnapshot/LoadSnapshot move the fingerprint ->
 //   order LRU through core/serialization.h, so a restarted server keeps
 //   its warm set and performs zero eigensolves on previously-served
@@ -33,14 +48,17 @@
 // * Fault injection: OrderingServerOptions::faults (a util/fault.h
 //   registry, active only in SPECTRAL_FAULTS builds) arms the
 //   "serve.dispatch" site here (a dispatched batch fails every live
-//   request with a typed INTERNAL error instead of solving), and is
+//   request with a typed INTERNAL error instead of solving; admission hits
+//   are never dispatched, so it cannot touch them), and is
 //   handed down to the MappingService ("solver.converge") and the
 //   snapshot writer ("snapshot.write"/"snapshot.rename"). Every injected
 //   failure surfaces as a well-formed error reply — never a hang.
 // * Stats: stats() / the STATS command surface MappingServiceStats plus
 //   serving counters (accepted/shed/expired, batches, coalesced requests,
 //   queue depth) and p50/p99 latency — overall and split cold (engine
-//   solve) vs. warm (cache hit) — from log-scale histograms.
+//   solve) vs. warm (cache hit) by OrderingResult::cache — from log-scale
+//   histograms. An admission hit counts in accepted, served_ok, requests
+//   and cache_hits, never in batches or the queue depth.
 // * Graceful drain: Shutdown() (and the destructor) stop intake, serve
 //   everything already queued, then join; in-flight futures all complete.
 //
@@ -108,10 +126,12 @@ struct OrderingServerOptions {
   double window_ms = 1.0;
   /// Max requests dispatched as one batch.
   size_t max_batch = 64;
-  /// Admission bound: submissions beyond this many queued requests are
-  /// shed with RESOURCE_EXHAUSTED.
+  /// Admission bound: uncached submissions beyond this many queued
+  /// requests are shed with RESOURCE_EXHAUSTED. Cache hits never queue, so
+  /// a full queue does not shed them.
   size_t max_queue = 1024;
   /// Deadline applied when a request does not carry its own; <= 0 = none.
+  /// Only queued requests can expire; a hit is answered at admission.
   double default_deadline_ms = 0.0;
   /// Snapshot file the spectral_serve tool restores from on start and
   /// saves to on exit; the server itself only acts on explicit
@@ -119,7 +139,8 @@ struct OrderingServerOptions {
   /// wire command / SIGHUP rotation in the tool).
   std::string snapshot_path;
   /// Optional fault-injection registry (not owned; must outlive the
-  /// server). Arms "serve.dispatch" here and is forwarded to the
+  /// server). Arms "serve.dispatch" here (dispatched batches only; cache
+  /// hits answered at admission never reach it) and is forwarded to the
   /// MappingService (unless service.faults is already set) and the
   /// snapshot writer. Runtime-only; a no-op unless built with
   /// SPECTRAL_FAULTS.
@@ -143,8 +164,9 @@ struct OrderingServerStats {
   size_t queue_depth = 0;
   size_t max_queue_depth = 0;
   /// Submit-to-completion latency percentiles in milliseconds (log-scale
-  /// histogram approximation, ~2% resolution). "cold" = served by an
-  /// engine solve, "warm" = served from the order cache.
+  /// histogram approximation, ~2% resolution). "warm" = served without a
+  /// solve (CacheOutcome::kHit: at admission or in a batch), "cold" =
+  /// everything else that succeeded (engine solves, cache disabled).
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double cold_p50_ms = 0.0;
@@ -161,17 +183,22 @@ class OrderingServer {
   OrderingServer(const OrderingServer&) = delete;
   OrderingServer& operator=(const OrderingServer&) = delete;
 
-  /// Enqueues one request. The future always becomes ready: with the
-  /// result, or with RESOURCE_EXHAUSTED (queue full), DEADLINE_EXCEEDED
-  /// (expired before dispatch), or FAILED_PRECONDITION (server shut down).
-  /// deadline_ms < 0 applies options().default_deadline_ms.
+  /// Admits one request. A cache hit is served on the calling thread: the
+  /// returned future is already ready with the result, whatever the pause
+  /// state, queue depth, or deadline. A miss is enqueued for the batcher.
+  /// The future always becomes ready: with the result, or with
+  /// RESOURCE_EXHAUSTED (miss on a full queue), DEADLINE_EXCEEDED (miss
+  /// expired before dispatch), or FAILED_PRECONDITION (server shut down —
+  /// hits included). deadline_ms < 0 applies
+  /// options().default_deadline_ms.
   std::future<StatusOr<OrderingResult>> Submit(OrderingRequest request,
                                                double deadline_ms = -1.0);
 
-  /// Pauses/resumes batch dispatch (admission continues). Pausing lets
-  /// tests and drain tooling compose a deterministic batch: everything
-  /// submitted while paused is dispatched as one batch on Resume (up to
-  /// max_batch). Shutdown overrides a pause.
+  /// Pauses/resumes batch dispatch (admission continues, and cache hits
+  /// are still answered at admission). Pausing lets tests and drain
+  /// tooling compose a deterministic batch: every miss submitted while
+  /// paused is dispatched as one batch on Resume (up to max_batch).
+  /// Shutdown overrides a pause.
   void Pause();
   void Resume();
 
@@ -229,6 +256,8 @@ class OrderingServer {
  private:
   struct Pending {
     OrderingRequest request;
+    /// request.Fingerprint(), computed once at admission.
+    Fingerprint128 fingerprint;
     std::promise<StatusOr<OrderingResult>> promise;
     std::chrono::steady_clock::time_point enqueue;
     std::chrono::steady_clock::time_point deadline;

@@ -2,8 +2,11 @@
 // OrderBatch results are byte-identical to per-request serial engine calls
 // (cache on or off, any parallelism), a warm-cache batch performs zero
 // additional eigensolves (the matvec counter is unchanged), duplicates
-// within a batch are deduplicated, and the LRU evicts with counters.
+// within a batch are deduplicated, the LRU evicts with counters, and
+// Lookup serves a batched hit's exact bytes without ever solving.
 
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -171,6 +174,9 @@ TEST(MappingService, DuplicatesWithinABatchSolveOnce) {
   EXPECT_NE(results[0]->detail.find(" | cache=miss"), std::string::npos);
   EXPECT_NE(results[1]->detail.find(" | cache=hit"), std::string::npos);
   EXPECT_NE(results[2]->detail.find(" | cache=hit"), std::string::npos);
+  EXPECT_EQ(results[0]->cache, CacheOutcome::kMiss);
+  EXPECT_EQ(results[1]->cache, CacheOutcome::kHit);
+  EXPECT_EQ(results[2]->cache, CacheOutcome::kHit);
   EXPECT_EQ(Ranks(results[0]->order), Ranks(results[1]->order));
   EXPECT_EQ(results[0]->embedding, results[2]->embedding);
 }
@@ -187,13 +193,80 @@ TEST(MappingService, CacheOffStillDeduplicatesButNeverHits) {
   for (const auto& r : results) {
     ASSERT_TRUE(r.ok());
     EXPECT_NE(r->detail.find(" | cache=off"), std::string::npos);
+    EXPECT_EQ(r->cache, CacheOutcome::kOff);
   }
   EXPECT_EQ(service.stats().solves, 1);
+  EXPECT_FALSE(service.Lookup(request.Fingerprint()).has_value());
 
   // A later batch re-solves: nothing was retained.
   auto again = service.Order(request);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(service.stats().solves, 2);
+}
+
+TEST(MappingService, LookupServesBatchedHitBytesWithoutSolving) {
+  const PointSet grid_points = PointSet::FullGrid(GridSpec({16, 16}));
+  const OrderingRequest request = OrderingRequest::ForPoints(grid_points);
+  const Fingerprint128 fingerprint = request.Fingerprint();
+
+  MappingServiceOptions options;
+  options.parallelism = 1;
+  MappingService service(options);
+  // A miss never solves and counts nothing: OrderBatch counts it later.
+  EXPECT_FALSE(service.Lookup(fingerprint).has_value());
+  EXPECT_EQ(service.stats().requests, 0);
+  EXPECT_EQ(service.stats().solves, 0);
+  EXPECT_EQ(service.CacheSize(), 0u);
+
+  auto miss = service.OrderBatch(std::span<const OrderingRequest>(&request, 1),
+                                 std::span<const Fingerprint128>(&fingerprint, 1));
+  ASSERT_TRUE(miss.front().ok()) << miss.front().status();
+  auto batched_hit = service.Order(request);
+  ASSERT_TRUE(batched_hit.ok());
+  const MappingServiceStats before = service.stats();
+
+  const std::optional<OrderingResult> hit = service.Lookup(fingerprint);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->cache, CacheOutcome::kHit);
+  EXPECT_EQ(batched_hit->cache, CacheOutcome::kHit);
+  EXPECT_EQ(hit->detail, batched_hit->detail);
+  OrderingResult untagged = *batched_hit;
+  untagged.detail = StripCacheTag(untagged.detail);
+  ExpectSameResult(*hit, untagged);
+  EXPECT_EQ(hit->converged, batched_hit->converged);
+
+  // One request and one hit, no batch, no engine work.
+  const MappingServiceStats after = service.stats();
+  EXPECT_EQ(after.requests, before.requests + 1);
+  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+  EXPECT_EQ(after.batches, before.batches);
+  EXPECT_EQ(after.solves, before.solves);
+  EXPECT_EQ(after.solver_matvecs, before.solver_matvecs);
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+}
+
+TEST(MappingService, LookupRefreshesRecency) {
+  const PointSet a = PointSet::FullGrid(GridSpec({5, 5}));
+  const PointSet b = PointSet::FullGrid(GridSpec({6, 6}));
+  const PointSet c = PointSet::FullGrid(GridSpec({7, 7}));
+  MappingServiceOptions options;
+  options.cache_capacity = 2;
+  options.parallelism = 1;
+  MappingService service(options);
+  ASSERT_TRUE(service.Order(OrderingRequest::ForPoints(a)).ok());
+  ASSERT_TRUE(service.Order(OrderingRequest::ForPoints(b)).ok());
+
+  // Touching `a` makes `b` the least recently used entry, so inserting `c`
+  // evicts `b`, not `a`.
+  const Fingerprint128 fa = OrderingRequest::ForPoints(a).Fingerprint();
+  ASSERT_TRUE(service.Lookup(fa).has_value());
+  ASSERT_TRUE(service.Order(OrderingRequest::ForPoints(c)).ok());
+  const std::vector<OrderCacheEntry> entries = service.ExportCache();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].fingerprint,
+            OrderingRequest::ForPoints(c).Fingerprint());
+  EXPECT_EQ(entries[1].fingerprint, fa);
+  EXPECT_EQ(entries[1].result.cache, CacheOutcome::kOff);
 }
 
 TEST(MappingService, LruEvictsAndCountsEvictions) {

@@ -1,9 +1,11 @@
 // OrderingServer tests — the serving tier's contract: orders served
 // through the batcher are byte-identical to direct serial engine calls
 // (coalescing on or off, any window, cache cold or warm), overload and
-// deadline expiry produce clean Statuses (never a hang), a warm-restarted
-// server performs zero eigensolves on previously-served fingerprints, and
-// the wire protocol round-trips over streams and TCP.
+// deadline expiry produce clean Statuses (never a hang), cache hits are
+// answered at admission (while paused, on a full queue, while the batcher
+// solves) and refused only after Shutdown, a warm-restarted server performs
+// zero eigensolves on previously-served fingerprints, and the wire protocol
+// round-trips over streams and TCP.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -330,6 +332,115 @@ TEST(OrderingServer, StatsLineAndReset) {
   EXPECT_EQ(server.stats().service.cache_hits, 1);
 }
 
+// --- Cache hits are answered at admission --------------------------------
+
+bool IsReady(const std::future<StatusOr<OrderingResult>>& future) {
+  return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+TEST(OrderingServerAdmission, HitIsAnsweredWhileTheBatcherSolves) {
+  OrderingServerOptions options;
+  options.service.cache_capacity = 8;
+  options.service.parallelism = 1;
+  options.window_ms = 0.0;
+  OrderingServer server(options);
+  const OrderingRequest cached = GridRequest(5, 5);
+  ASSERT_TRUE(server.Submit(cached).get().ok());
+
+  // A 9216-vertex spectral solve keeps the single batcher busy for far
+  // longer than one cache probe takes.
+  auto big = server.Submit(GridRequest(96, 96));
+  while (server.stats().queue_depth != 0) std::this_thread::yield();
+
+  auto hit = server.Submit(cached);
+  ASSERT_TRUE(IsReady(hit));
+  EXPECT_FALSE(IsReady(big)) << "the large solve ended before the hit";
+  auto result = hit.get();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->cache, CacheOutcome::kHit);
+  ExpectMatchesDirect(*result, cached);
+  EXPECT_TRUE(big.get().ok());
+}
+
+TEST(OrderingServerAdmission, HitsAreAnsweredWhilePausedAndQueueFull) {
+  OrderingServerOptions options;
+  options.service.cache_capacity = 8;
+  options.max_queue = 1;
+  OrderingServer server(options);
+  const OrderingRequest cached = GridRequest(6, 5);
+  ASSERT_TRUE(server.Submit(cached).get().ok());
+
+  server.Pause();
+  auto queued = server.Submit(GridRequest(4, 6));
+  auto shed = server.Submit(GridRequest(6, 4)).get();
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
+
+  // Paused, queue full, and a deadline that has passed by the time any
+  // batch could run: the hit is answered anyway, before Submit returns.
+  auto hit = server.Submit(cached, /*deadline_ms=*/1e-6);
+  ASSERT_TRUE(IsReady(hit));
+  auto result = hit.get();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->cache, CacheOutcome::kHit);
+  ExpectMatchesDirect(*result, cached);
+  EXPECT_FALSE(IsReady(queued));
+
+  server.Resume();
+  EXPECT_TRUE(queued.get().ok());
+  const OrderingServerStats stats = server.stats();
+  EXPECT_EQ(stats.shed_overload, 1);
+  EXPECT_EQ(stats.expired_deadline, 0);
+  EXPECT_EQ(stats.max_queue_depth, 1u);
+}
+
+TEST(OrderingServerAdmission, ShutdownRefusesCachedRequestsToo) {
+  OrderingServerOptions options;
+  options.service.cache_capacity = 8;
+  OrderingServer server(options);
+  const OrderingRequest cached = GridRequest(5, 6);
+  ASSERT_TRUE(server.Submit(cached).get().ok());
+  ASSERT_EQ(server.service().CacheSize(), 1u);
+
+  server.Shutdown();
+  const auto refused = server.Submit(cached).get();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  const OrderingServerStats stats = server.stats();
+  EXPECT_EQ(stats.accepted, 1);
+  EXPECT_EQ(stats.service.requests, 1);
+  EXPECT_EQ(stats.service.cache_hits, 0);
+}
+
+TEST(OrderingServerAdmission, HitsCountAsServedButNeverAsBatches) {
+  OrderingServerOptions options;
+  options.service.cache_capacity = 8;
+  OrderingServer server(options);
+  const OrderingRequest request = GridRequest(6, 6);
+  auto miss = server.Submit(request).get();
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_EQ(miss->cache, CacheOutcome::kMiss);
+  for (int i = 0; i < 3; ++i) {
+    auto hit = server.Submit(request).get();
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    EXPECT_EQ(hit->cache, CacheOutcome::kHit);
+    EXPECT_EQ(hit->detail, StripCacheTag(miss->detail) + " | cache=hit");
+  }
+
+  const OrderingServerStats stats = server.stats();
+  EXPECT_EQ(stats.accepted, 4);
+  EXPECT_EQ(stats.served_ok, 4);
+  EXPECT_EQ(stats.service.requests, 4);
+  EXPECT_EQ(stats.service.cache_hits, 3);
+  EXPECT_EQ(stats.service.cache_misses, 1);
+  EXPECT_EQ(stats.service.solves, 1);
+  EXPECT_EQ(stats.service.batches, 1);
+  EXPECT_EQ(stats.service.coalesced_requests, 0);
+  EXPECT_EQ(stats.max_queue_depth, 1u);
+  EXPECT_GT(stats.warm_p50_ms, 0.0);
+  EXPECT_GT(stats.cold_p50_ms, 0.0);
+}
+
 TEST(Wire, ParseOrderGrid) {
   auto parsed = ParseWireRequest(
       "ORDER r1 spectral deadline=250 connectivity=moore radius=2 GRID 8x5");
@@ -534,6 +645,30 @@ TEST(OrderingServerFaults, DispatchFaultFailsTheBatchWithTypedError) {
   const OrderingServerStats stats = server.stats();
   EXPECT_EQ(stats.served_error, 1);
   EXPECT_EQ(stats.served_ok, 1);
+}
+
+TEST(OrderingServerFaults, HitsBypassTheDispatchFault) {
+  if (!kFaultInjectionEnabled) {
+    GTEST_SKIP() << "built without SPECTRAL_FAULTS";
+  }
+  FaultInjector faults;
+  OrderingServerOptions options;
+  options.service.cache_capacity = 8;
+  options.faults = &faults;
+  OrderingServer server(options);
+  const OrderingRequest cached = GridRequest(6, 5);
+  ASSERT_TRUE(server.Submit(cached).get().ok());
+
+  // Every dispatch fails from here on; a hit is never dispatched.
+  faults.Arm("serve.dispatch", FaultSiteConfig{1.0, {}});
+  auto hit = server.Submit(cached).get();
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  ExpectMatchesDirect(*hit, cached);
+  auto miss = server.Submit(GridRequest(5, 6)).get();
+  ASSERT_FALSE(miss.ok());
+  EXPECT_EQ(miss.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(server.stats().served_error, 1);
+  EXPECT_EQ(server.stats().served_ok, 2);
 }
 
 TEST(OrderingServer, TcpRoundTrip) {

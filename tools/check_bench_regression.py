@@ -40,6 +40,8 @@ fails on regressions. Four suites are known:
 
 For every suite the gate fails on:
 
+  * a missing baseline file (one line naming the path and the --update
+    flow; checked before any bench runs),
   * a missing row (a combination the baseline has but the current run lost),
   * a quality regression (spearman drop / matvec growth / residual growth
     beyond tolerance — all machine-independent, since solves are
@@ -50,8 +52,10 @@ Cold times are compared as *shares of the suite's total cold time*, not as
 absolute milliseconds: CI machines and dev laptops differ by integer
 factors in raw speed, but a single row suddenly consuming a much larger
 fraction of the whole suite is machine-independent evidence of a
-regression. Rows whose share is below --min-share in both runs are skipped
-as timing noise. This keeps the gate tolerance-based and non-flaky.
+regression. Both totals sum only the rows present in both runs, so a
+missing or new row never shifts the other rows' shares. Rows whose share
+is below --min-share in both runs are skipped as timing noise. This keeps
+the gate tolerance-based and non-flaky.
 
 Usage:
 
@@ -316,9 +320,13 @@ def gate_suite(suite, current, args):
     """Diffs one suite; returns the list of failure strings."""
     baseline = load_rows(suite, os.path.join(args.baseline_dir,
                                              suite.json_relpath))
+    # Shares are taken over the rows both runs have, so a row missing from
+    # one side is reported once, as MISSING, and does not inflate every
+    # other row's share of the other side's total.
+    common = set(baseline) & set(current)
     base_total = sum(
-        row[suite.time_field] for row in baseline.values()) or 1.0
-    cur_total = sum(row[suite.time_field] for row in current.values()) or 1.0
+        baseline[key][suite.time_field] for key in common) or 1.0
+    cur_total = sum(current[key][suite.time_field] for key in common) or 1.0
 
     failures = []
     print(f"\n=== suite: {suite.name} ===")
@@ -398,6 +406,15 @@ def main():
     use_current = args.benches is None
     if len(sources) != len(suites):
         parser.error("need exactly one --bench or --current per --suite")
+
+    if not args.update:
+        for suite_name in suites:
+            path = os.path.join(args.baseline_dir,
+                                SUITES[suite_name].json_relpath)
+            if not os.path.exists(path):
+                sys.exit(f"{suite_name}: baseline {path} is missing; create "
+                         f"it with --update --suite {suite_name} --bench "
+                         "<bench binary> (see --help) and commit it")
 
     all_failures = []
     for suite_name, source in zip(suites, sources):

@@ -8,11 +8,13 @@
 //                                           ephemeral; the bound port is
 //                                           printed as "LISTENING <port>")
 // Options:
-//   --window-ms=MS     aggregation window (default 1.0)
+//   --window-ms=MS     aggregation window for cache misses (default 1.0;
+//                      cache hits are answered on arrival, unbatched)
 //   --max-batch=K      max requests per dispatched batch (default 64)
-//   --queue=N          admission bound; beyond it submissions are shed
-//                      (default 1024)
-//   --deadline-ms=MS   default per-request deadline, 0 = none (default 0)
+//   --queue=N          admission bound; beyond it uncached submissions
+//                      are shed (default 1024)
+//   --deadline-ms=MS   default deadline for queued (uncached) requests,
+//                      0 = none (default 0)
 //   --cache=N          LRU order-cache capacity in entries (default 4096)
 //   --parallelism=N    worker threads (0 = hardware concurrency)
 //   --snapshot=PATH    restore the order cache from PATH on start (a
