@@ -202,9 +202,10 @@ void RunMethod(const std::string& method, const Workload& w,
 // rewrite that silently changes the arithmetic or the work volume fails
 // the gate even when the timing share sits below the noise floor.
 
-// "spmm-w8": fused 8-wide SpMM passes chained output-to-input, then
-// verified element-for-element against per-column MatVec (the kernel's
-// bit-identity contract, so the residual is exactly 0).
+// "spmm-w8": fused 8-wide SpMM passes (MatVecRowsPanel on a dense panel,
+// ld = width) chained output-to-input, then verified element-for-element
+// against per-column MatVec (the kernel's bit-identity contract, so the
+// residual is exactly 0).
 void RunSpmmMicrobench(const Workload& w, TablePrinter& table) {
   constexpr int64_t kWidth = 8;
   constexpr int kReps = 40;
@@ -217,13 +218,15 @@ void RunSpmmMicrobench(const Workload& w, TablePrinter& table) {
 
   WallTimer timer;
   for (int r = 0; r < kReps; ++r) {
-    w.laplacian.MatVecRowsBlock(0, n, kWidth, x, y);
+    w.laplacian.MatVecRowsPanel(0, n, kWidth, x.data(), kWidth, y.data(),
+                                kWidth);
     x.swap(y);
   }
   const double cold_ms = timer.ElapsedSeconds() * 1e3;
 
   // Bit-identity check against the scalar kernel, off the clock.
-  w.laplacian.MatVecRowsBlock(0, n, kWidth, x0, y);
+  w.laplacian.MatVecRowsPanel(0, n, kWidth, x0.data(), kWidth, y.data(),
+                              kWidth);
   double worst = 0.0;
   Vector xc(static_cast<size_t>(n));
   Vector yc(static_cast<size_t>(n));
@@ -252,9 +255,10 @@ void RunSpmmMicrobench(const Workload& w, TablePrinter& table) {
                 "fused SpMM vs per-column MatVec"});
 }
 
-// "reorth-blocked": panel-blocked orthonormalization of a seeded 24-column
-// block; `matvecs` carries the panel counter and `max_residual` the worst
-// |Q^T Q - I| entry of the factor.
+// "reorth-blocked": panel-blocked orthonormalization (OrthonormalizeColumns,
+// the solver's kernel) of a seeded 24-column block packed into a
+// PackedBasis, packing included in the time; `matvecs` carries the panel
+// counter and `max_residual` the worst |Q^T Q - I| entry of the factor.
 void RunReorthMicrobench(const Workload& w, TablePrinter& table) {
   constexpr int kCols = 24;
   constexpr int kReps = 10;
@@ -267,21 +271,26 @@ void RunReorthMicrobench(const Workload& w, TablePrinter& table) {
 
   int64_t panels = 0;
   int64_t rank = 0;
-  VectorBlock q;
+  PackedBasis q;
   WallTimer timer;
   for (int r = 0; r < kReps; ++r) {
-    VectorBlock block = master;
-    rank = OrthonormalizeBlock(block, /*drop_tol=*/1e-10, nullptr, &panels);
-    if (r + 1 == kReps) q = std::move(block);
+    PackedBasis basis;
+    basis.Reset(n, kCols);
+    for (int64_t c = 0; c < kCols; ++c) {
+      basis.CopyColumnIn(master[static_cast<size_t>(c)], c);
+    }
+    rank = OrthonormalizeColumns(basis, 0, kCols, /*drop_tol=*/1e-10,
+                                 nullptr, &panels);
+    if (r + 1 == kReps) q = std::move(basis);
   }
   const double cold_ms = timer.ElapsedSeconds() * 1e3;
   SPECTRAL_CHECK_EQ(rank, kCols);
 
   double worst = 0.0;
-  for (size_t i = 0; i < q.size(); ++i) {
-    for (size_t j = i; j < q.size(); ++j) {
+  for (int64_t i = 0; i < kCols; ++i) {
+    for (int64_t j = i; j < kCols; ++j) {
       const double expect = i == j ? 1.0 : 0.0;
-      worst = std::max(worst, std::fabs(Dot(q[i], q[j]) - expect));
+      worst = std::max(worst, std::fabs(DotColumns(q, i, q, j) - expect));
     }
   }
 

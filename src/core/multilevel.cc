@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "eigen/warm_start.h"
 #include "graph/laplacian.h"
 #include "graph/traversal.h"
 #include "util/check.h"
@@ -37,11 +38,6 @@ StatusOr<FiedlerResult> ComputeFiedlerMultilevel(
   WarmStartOptions warm_options;
   warm_options.num_vectors =
       static_cast<int>(std::min<int64_t>(options.fiedler.num_pairs, n - 1));
-  warm_options.smooth_steps = options.smooth_steps;
-  warm_options.jacobi_omega = options.jacobi_omega;
-  warm_options.level_tol = options.level_tol;
-  warm_options.level_max_basis = options.level_max_basis;
-  warm_options.level_max_restarts = options.level_max_restarts;
   warm_options.cheb_degree_max = options.fiedler.cheb_degree_max;
   warm_options.seed = options.fiedler.seed;
   auto warm = MultilevelFiedlerWarmStart(levels, warm_options);

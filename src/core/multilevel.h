@@ -1,10 +1,10 @@
 // Multilevel Fiedler solver: coarsen the graph by heavy-edge matching
-// (graph/coarsening.h's BuildCoarseningHierarchy — the same hierarchy build
-// the exact solver's warm start uses), dense-solve the coarsest Laplacian,
-// prolong + Jacobi-smooth the eigenvector *block* up the hierarchy with a
-// loose-tolerance polish per level (eigen/warm_start.h), then polish the
-// finest level to full accuracy with the warm-started block Lanczos solver
-// (eigen/block_lanczos.h via ComputeFiedler).
+// (graph/coarsening.h's BuildCoarseningHierarchy), dense-solve the
+// coarsest Laplacian, prolong + Jacobi-smooth the eigenvector *block* up
+// the hierarchy (eigen/warm_start.h), then solve the finest level to full
+// accuracy with the warm-started block Lanczos solver (eigen/block_lanczos.h
+// via ComputeFiedler). SpectralMapper takes this path for every component
+// of at least warm_start_threshold vertices.
 //
 // Because the finest solve converges to the same tolerance as the flat
 // solver and tracks the whole num_pairs block, degenerate-eigenspace
@@ -22,7 +22,6 @@
 #include <span>
 
 #include "eigen/fiedler.h"
-#include "eigen/warm_start.h"
 #include "graph/coarsening.h"
 #include "graph/graph.h"
 #include "util/status.h"
@@ -37,16 +36,6 @@ struct MultilevelOptions {
   /// policy, worker pool. The multilevel cascade only manufactures the
   /// warm start; this governs the accuracy of the answer.
   FiedlerOptions fiedler;
-  /// Weighted-Jacobi smoothing steps after each prolongation.
-  int smooth_steps = 2;
-  double jacobi_omega = 2.0 / 3.0;
-  /// Adaptive tolerance: intermediate levels only warm-start the next
-  /// finer level, so their (optional) polish solves stop at this loose
-  /// residual. level_max_restarts = 0 skips the polish entirely and
-  /// ascends on smoothing alone — the default; see WarmStartOptions.
-  double level_tol = 1e-4;
-  int level_max_basis = 24;
-  int level_max_restarts = 0;
 };
 
 /// Computes the Fiedler pair of a *connected* graph's Laplacian through the

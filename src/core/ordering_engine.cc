@@ -17,33 +17,6 @@ constexpr std::string_view kSpectralName = "spectral";
 constexpr std::string_view kSpectralMultilevelName = "spectral-multilevel";
 constexpr std::string_view kBisectionName = "bisection";
 
-// Shared preamble: structural validity plus the addressing check that keeps
-// MappingService routing and cache keys honest.
-Status CheckRequest(const OrderingRequest& request, std::string_view engine) {
-  if (Status s = request.Validate(); !s.ok()) return s;
-  if (request.engine != engine) {
-    return InvalidArgumentError("request addressed to engine '" +
-                                request.engine + "' given to engine '" +
-                                std::string(engine) + "'");
-  }
-  return OkStatus();
-}
-
-// The spectral configuration a request resolves to: the request's affinity
-// edges are appended to any configured ones, and the multilevel engine
-// applies its default threshold when the request leaves it unset.
-SpectralLpmOptions EffectiveSpectralOptions(const OrderingRequest& request,
-                                            bool multilevel_engine) {
-  SpectralLpmOptions spectral = request.options.spectral;
-  if (multilevel_engine && spectral.multilevel_threshold <= 0) {
-    spectral.multilevel_threshold = request.options.multilevel_default_threshold;
-  }
-  spectral.affinity_edges.insert(spectral.affinity_edges.end(),
-                                 request.affinity_edges.begin(),
-                                 request.affinity_edges.end());
-  return spectral;
-}
-
 OrderingResult FromSpectralResult(SpectralLpmResult result) {
   OrderingResult out;
   out.order = std::move(result.order);
@@ -76,20 +49,22 @@ OrderingResult FromSpectralResult(SpectralLpmResult result) {
   return out;
 }
 
-/// "spectral" and "spectral-multilevel": direct Fiedler-order adapters over
-/// SpectralMapper.
+/// "spectral": the direct Fiedler-order adapter over SpectralMapper. Also
+/// registered as "spectral-multilevel", an alias kept for existing
+/// clients: the mapper already warm-starts every large component through
+/// the multilevel cascade, so the two names return the same bytes. Each
+/// instance answers to the name it was made under, and requests keep
+/// their own name in the fingerprint.
 class SpectralEngine : public OrderingEngine {
  public:
-  explicit SpectralEngine(bool multilevel)
-      : name_(multilevel ? kSpectralMultilevelName : kSpectralName),
-        multilevel_(multilevel) {}
+  explicit SpectralEngine(std::string_view name) : name_(name) {}
 
   std::string_view name() const override { return name_; }
   bool supports_graph_input() const override { return true; }
 
   StatusOr<OrderingResult> Order(const OrderingRequest& request) const override {
-    if (Status s = CheckRequest(request, name_); !s.ok()) return s;
-    const SpectralMapper mapper(EffectiveSpectralOptions(request, multilevel_));
+    if (Status s = CheckOrderingRequest(request, name_); !s.ok()) return s;
+    const SpectralMapper mapper(EffectiveSpectralOptions(request));
     auto result = request.input == OrderingInputKind::kGraph
                       ? mapper.MapGraph(*request.graph, request.points.get())
                       : mapper.Map(*request.points);
@@ -99,7 +74,6 @@ class SpectralEngine : public OrderingEngine {
 
  private:
   std::string_view name_;
-  bool multilevel_;
 };
 
 /// "bisection": recursive spectral median-cut adapter.
@@ -109,9 +83,11 @@ class BisectionEngine : public OrderingEngine {
   bool supports_graph_input() const override { return true; }
 
   StatusOr<OrderingResult> Order(const OrderingRequest& request) const override {
-    if (Status s = CheckRequest(request, kBisectionName); !s.ok()) return s;
+    if (Status s = CheckOrderingRequest(request, kBisectionName); !s.ok()) {
+      return s;
+    }
     RecursiveBisectionOptions options = request.options.bisection;
-    options.base = EffectiveSpectralOptions(request, /*multilevel_engine=*/false);
+    options.base = EffectiveSpectralOptions(request);
     auto result =
         request.input == OrderingInputKind::kGraph
             ? RecursiveSpectralOrderGraph(*request.graph, request.points.get(),
@@ -142,7 +118,7 @@ class CurveEngine : public OrderingEngine {
   std::string_view name() const override { return CurveKindName(kind_); }
 
   StatusOr<OrderingResult> Order(const OrderingRequest& request) const override {
-    if (Status s = CheckRequest(request, name()); !s.ok()) return s;
+    if (Status s = CheckOrderingRequest(request, name()); !s.ok()) return s;
     if (request.input != OrderingInputKind::kPoints) {
       return UnimplementedError(
           "engine '" + std::string(name()) +
@@ -169,6 +145,25 @@ class CurveEngine : public OrderingEngine {
 
 }  // namespace
 
+Status CheckOrderingRequest(const OrderingRequest& request,
+                            std::string_view engine) {
+  if (Status s = request.Validate(); !s.ok()) return s;
+  if (request.engine != engine) {
+    return InvalidArgumentError("request addressed to engine '" +
+                                request.engine + "' given to engine '" +
+                                std::string(engine) + "'");
+  }
+  return OkStatus();
+}
+
+SpectralLpmOptions EffectiveSpectralOptions(const OrderingRequest& request) {
+  SpectralLpmOptions spectral = request.options.spectral;
+  spectral.affinity_edges.insert(spectral.affinity_edges.end(),
+                                 request.affinity_edges.begin(),
+                                 request.affinity_edges.end());
+  return spectral;
+}
+
 std::vector<std::string> AllOrderingEngineNames() {
   std::vector<std::string> names = {std::string(kSpectralName),
                                     std::string(kSpectralMultilevelName),
@@ -182,13 +177,10 @@ std::vector<std::string> AllOrderingEngineNames() {
 
 StatusOr<std::unique_ptr<OrderingEngine>> MakeOrderingEngine(
     std::string_view name) {
-  if (name == kSpectralName) {
-    return std::unique_ptr<OrderingEngine>(
-        new SpectralEngine(/*multilevel=*/false));
-  }
-  if (name == kSpectralMultilevelName) {
-    return std::unique_ptr<OrderingEngine>(
-        new SpectralEngine(/*multilevel=*/true));
+  if (name == kSpectralName || name == kSpectralMultilevelName) {
+    // The engine keeps a view of the registry constant, never of `name`.
+    return std::unique_ptr<OrderingEngine>(new SpectralEngine(
+        name == kSpectralName ? kSpectralName : kSpectralMultilevelName));
   }
   if (name == kShardedSpectralEngineName) {
     return MakeShardedSpectralEngine();

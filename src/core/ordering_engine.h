@@ -56,7 +56,8 @@ struct OrderingResult {
   /// "dense-jacobi", "median-cut", a curve name, ...).
   std::string method;
 
-  // Spectral family (spectral, spectral-multilevel, bisection).
+  // Spectral family (spectral and its alias spectral-multilevel,
+  // sharded-spectral, bisection).
   double lambda2 = 0.0;
   int64_t num_components = 0;
   int64_t matvecs = 0;
@@ -124,6 +125,16 @@ class OrderingEngine {
   virtual StatusOr<OrderingResult> Order(
       const OrderingRequest& request) const = 0;
 };
+
+/// The preamble of every engine's Order(): request.Validate(), then the
+/// check that the request is addressed to `engine` (keeps MappingService
+/// routing and cache keys honest).
+Status CheckOrderingRequest(const OrderingRequest& request,
+                            std::string_view engine);
+
+/// The spectral configuration a request resolves to: options.spectral with
+/// the request's own affinity edges appended to any configured there.
+SpectralLpmOptions EffectiveSpectralOptions(const OrderingRequest& request);
 
 /// Every registry name, in presentation order: the spectral family first,
 /// then the curve families (the concrete list lives in the registry; CLIs

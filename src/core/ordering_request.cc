@@ -57,12 +57,7 @@ void HashFiedlerOptions(Hasher& h, const FiedlerOptions& o) {
 void HashMultilevelOptions(Hasher& h, const MultilevelOptions& o) {
   h.MixInt(o.coarsen.coarsest_size)
       .MixDouble(o.coarsen.min_shrink_factor)
-      .MixInt(o.coarsen.max_levels)
-      .MixInt(o.smooth_steps)
-      .MixDouble(o.jacobi_omega)
-      .MixDouble(o.level_tol)
-      .MixInt(o.level_max_basis)
-      .MixInt(o.level_max_restarts);
+      .MixInt(o.coarsen.max_levels);
   // o.fiedler is not hashed: every caller overwrites it with the spectral
   // options' fiedler before solving (see SpectralMapper::MapGraph).
 }
@@ -96,13 +91,11 @@ void HashSpectralOptions(Hasher& h, const SpectralLpmOptions& o) {
 void HashEngineOptions(Hasher& h, std::string_view engine,
                        const OrderingEngineOptions& o) {
   if (CurveKindFromName(engine).ok()) return;  // geometry-only engines
-  const bool multilevel = engine == "spectral-multilevel";
   const bool bisection = engine == "bisection";
   const bool sharded = engine == "sharded-spectral";
-  const bool known =
-      engine == "spectral" || multilevel || bisection || sharded;
+  const bool known = engine == "spectral" ||
+                     engine == "spectral-multilevel" || bisection || sharded;
   HashSpectralOptions(h, o.spectral);
-  if (multilevel || !known) h.MixInt(o.multilevel_default_threshold);
   if (bisection || !known) {
     h.MixInt(o.bisection.leaf_size).MixInt(o.bisection.max_depth);
   }

@@ -1,12 +1,10 @@
 #include "core/recursive_bisection.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "eigen/fiedler.h"
 #include "graph/laplacian.h"
-#include "graph/point_graph.h"
 #include "graph/subgraph.h"
 #include "graph/traversal.h"
 #include "util/check.h"
@@ -52,7 +50,7 @@ struct Bisector {
   // solvers land on the same quantized order (the engines are
   // cross-validated at the rank quantizer), so this only moves cost.
   StatusOr<FiedlerResult> Solve(const Graph& graph,
-                                std::span<const Vector> axes,
+                                std::span<const int64_t> verts,
                                 const VectorBlock* warm) {
     FiedlerOptions fo = options->base.fiedler;
     // The median cut consumes only the Fiedler vector itself, so never pay
@@ -66,33 +64,18 @@ struct Bisector {
       fo.dense_threshold =
           std::min(fo.dense_threshold, options->warm_dense_threshold);
     }
-    auto fiedler = ComputeFiedler(BuildLaplacian(graph), fo, axes,
-                                  use_warm ? warm : nullptr);
+    auto fiedler =
+        ComputeFiedler(BuildLaplacian(graph), fo,
+                       SubsetAxes(points, verts, options->base),
+                       use_warm ? warm : nullptr);
     if (fiedler.ok()) {
       num_solves += 1;
       matvecs += fiedler->matvecs;
       // Count only solves that actually consumed the start (the dense path
-      // ignores it; BlockLanczosPath tags its method when warm).
-      if (use_warm &&
-          fiedler->method_used.find("warm") != std::string::npos) {
-        warm_solves += 1;
-      }
+      // ignores it).
+      if (fiedler->warm_started) warm_solves += 1;
     }
     return fiedler;
-  }
-
-  // Sort key mirroring core/spectral_lpm.cc's rank quantizer: components
-  // within rank_quantum_rel * max|component| are ties broken by global id,
-  // so dense/block and warm/cold solver noise cannot flip the order.
-  int64_t KeyOf(double v, double quantum) const {
-    return quantum > 0.0 ? static_cast<int64_t>(std::llround(v / quantum))
-                         : 0;
-  }
-
-  double QuantumOf(const Vector& values) const {
-    return options->base.rank_quantum_rel > 0.0
-               ? options->base.rank_quantum_rel * NormInf(values)
-               : 0.0;
   }
 
   // Appends `verts` in their given order.
@@ -100,13 +83,6 @@ struct Bisector {
     for (int64_t v : verts) {
       ranks[static_cast<size_t>(v)] = next_rank++;
     }
-  }
-
-  std::vector<Vector> AxesFor(std::span<const int64_t> verts) const {
-    if (points == nullptr || !options->base.canonicalize_with_axes) return {};
-    PointSet subset(points->dims());
-    for (int64_t v : verts) subset.Add((*points)[v]);
-    return subset.CenteredAxisFunctions();
   }
 
   // Children re-canonicalize the Fiedler sign independently, which would
@@ -136,25 +112,14 @@ struct Bisector {
       Emit(verts);
       return;
     }
-    const auto axes = AxesFor(verts);
-    auto fiedler = Solve(graph, axes, warm);
+    auto fiedler = Solve(graph, verts, warm);
     if (!fiedler.ok()) {
       if (error.ok()) error = fiedler.status();
       Emit(verts);  // keep the permutation valid even on failure
       return;
     }
-    const double quantum = QuantumOf(fiedler->fiedler);
-    std::vector<int64_t> by_value(static_cast<size_t>(m));
-    std::iota(by_value.begin(), by_value.end(), 0);
-    std::sort(by_value.begin(), by_value.end(), [&](int64_t a, int64_t b) {
-      const double va = fiedler->fiedler[static_cast<size_t>(a)];
-      const double vb = fiedler->fiedler[static_cast<size_t>(b)];
-      const int64_t ka = KeyOf(va, quantum);
-      const int64_t kb = KeyOf(vb, quantum);
-      if (ka != kb) return ka < kb;
-      if (quantum == 0.0 && va != vb) return va < vb;
-      return verts[static_cast<size_t>(a)] < verts[static_cast<size_t>(b)];
-    });
+    std::vector<int64_t> by_value =
+        RankQuantizedOrder(fiedler->fiedler, verts, options->base);
     AlignWithIncomingOrder(by_value);
     std::vector<int64_t> ordered(static_cast<size_t>(m));
     for (int64_t i = 0; i < m; ++i) {
@@ -178,8 +143,7 @@ struct Bisector {
       OrderLeaf(graph, verts, warm);
       return;
     }
-    const auto axes = AxesFor(verts);
-    auto fiedler = Solve(graph, axes, warm);
+    auto fiedler = Solve(graph, verts, warm);
     if (!fiedler.ok()) {
       if (error.ok()) error = fiedler.status();
       Emit(verts);
@@ -188,18 +152,8 @@ struct Bisector {
 
     // Median cut: lower half by quantized Fiedler value (ties by global
     // id), with the cut direction aligned to the incoming order.
-    const double quantum = QuantumOf(fiedler->fiedler);
-    std::vector<int64_t> by_value(static_cast<size_t>(m));
-    std::iota(by_value.begin(), by_value.end(), 0);
-    std::sort(by_value.begin(), by_value.end(), [&](int64_t a, int64_t b) {
-      const double va = fiedler->fiedler[static_cast<size_t>(a)];
-      const double vb = fiedler->fiedler[static_cast<size_t>(b)];
-      const int64_t ka = KeyOf(va, quantum);
-      const int64_t kb = KeyOf(vb, quantum);
-      if (ka != kb) return ka < kb;
-      if (quantum == 0.0 && va != vb) return va < vb;
-      return verts[static_cast<size_t>(a)] < verts[static_cast<size_t>(b)];
-    });
+    std::vector<int64_t> by_value =
+        RankQuantizedOrder(fiedler->fiedler, verts, options->base);
     AlignWithIncomingOrder(by_value);
 
     // This solve's eigenpairs, restricted to a child's vertices, seed the
@@ -311,24 +265,9 @@ StatusOr<RecursiveBisectionResult> RecursiveSpectralOrder(
   if (points.empty()) {
     return InvalidArgumentError("cannot order an empty point set");
   }
-  auto graph = BuildPointGraph(points, options.base.graph);
+  auto graph = BuildWorkingGraph(points, options.base);
   if (!graph.ok()) return graph.status();
-  if (options.base.affinity_edges.empty()) {
-    return RecursiveSpectralOrderGraph(*graph, &points, options);
-  }
-  std::vector<GraphEdge> edges;
-  graph->ForEachEdge([&](int64_t u, int64_t v, double w) {
-    edges.push_back({u, v, w});
-  });
-  for (const GraphEdge& e : options.base.affinity_edges) {
-    if (e.u < 0 || e.u >= points.size() || e.v < 0 || e.v >= points.size() ||
-        e.u == e.v || e.weight <= 0.0) {
-      return InvalidArgumentError("invalid affinity edge");
-    }
-    edges.push_back(e);
-  }
-  const Graph merged = Graph::FromEdges(points.size(), edges);
-  return RecursiveSpectralOrderGraph(merged, &points, options);
+  return RecursiveSpectralOrderGraph(*graph, &points, options);
 }
 
 }  // namespace spectral

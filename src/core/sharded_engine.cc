@@ -12,7 +12,6 @@
 #include "core/mapping_service.h"
 #include "core/ordering_request.h"
 #include "graph/partition.h"
-#include "graph/point_graph.h"
 #include "graph/subgraph.h"
 #include "util/check.h"
 #include "util/string_util.h"
@@ -21,16 +20,6 @@
 namespace spectral {
 
 namespace {
-
-// Mirrors the spectral engine's effective-option resolution: the request's
-// affinity edges are appended to any configured ones.
-SpectralLpmOptions EffectiveSpectralOptions(const OrderingRequest& request) {
-  SpectralLpmOptions spectral = request.options.spectral;
-  spectral.affinity_edges.insert(spectral.affinity_edges.end(),
-                                 request.affinity_edges.begin(),
-                                 request.affinity_edges.end());
-  return spectral;
-}
 
 // The spectral configuration every sub-request carries: affinity edges are
 // already merged into the working graph and the pool is a runtime field the
@@ -63,37 +52,6 @@ SpectralLpmOptions CutSolveSpectralOptions(const SpectralLpmOptions& base,
         std::max(cut.fiedler.degeneracy_rel_tol, 0.25);
   }
   return cut;
-}
-
-// Builds the graph a kPoints/kPointsWithAffinity request resolves to —
-// neighborhood edges merged with affinity edges — replicating the
-// monolithic mapper's construction (and its validation errors) so shard
-// solves see exactly the same weights.
-StatusOr<Graph> BuildWorkingGraph(const PointSet& points,
-                                  const SpectralLpmOptions& options) {
-  auto graph = BuildPointGraph(points, options.graph);
-  if (!graph.ok()) return graph.status();
-  if (options.affinity_edges.empty()) return graph;
-
-  std::vector<GraphEdge> edges;
-  edges.reserve(static_cast<size_t>(graph->num_edges()) +
-                options.affinity_edges.size());
-  graph->ForEachEdge([&](int64_t u, int64_t v, double w) {
-    edges.push_back({u, v, w});
-  });
-  for (const GraphEdge& e : options.affinity_edges) {
-    if (e.u < 0 || e.u >= points.size() || e.v < 0 || e.v >= points.size()) {
-      return InvalidArgumentError("affinity edge endpoint out of range");
-    }
-    if (e.u == e.v) {
-      return InvalidArgumentError("affinity edge endpoints must differ");
-    }
-    if (e.weight <= 0.0) {
-      return InvalidArgumentError("affinity edge weight must be positive");
-    }
-    edges.push_back(e);
-  }
-  return Graph::FromEdges(points.size(), edges);
 }
 
 // Rounded centroid of each vertex group — canonicalization hints for the
@@ -176,12 +134,9 @@ class ShardedSpectralEngine : public OrderingEngine {
 
   StatusOr<OrderingResult> Order(
       const OrderingRequest& request) const override {
-    if (Status s = request.Validate(); !s.ok()) return s;
-    if (request.engine != kShardedSpectralEngineName) {
-      return InvalidArgumentError(
-          "request addressed to engine '" + request.engine +
-          "' given to engine '" + std::string(kShardedSpectralEngineName) +
-          "'");
+    if (Status s = CheckOrderingRequest(request, kShardedSpectralEngineName);
+        !s.ok()) {
+      return s;
     }
     const ShardedEngineOptions& sharded = request.options.sharded;
     if (sharded.num_shards < 1) {
@@ -193,8 +148,8 @@ class ShardedSpectralEngine : public OrderingEngine {
 
     // Resolve the working graph the shards cut up. kGraph requests use the
     // caller's graph as-is (the monolithic engine ignores affinity options
-    // there too); point requests build the neighborhood graph and merge
-    // affinity edges, exactly like the monolithic mapper.
+    // there too); point requests build the monolithic mapper's working
+    // graph, so shard solves see exactly the same weights.
     Graph built;
     const Graph* graph = nullptr;
     if (request.input == OrderingInputKind::kGraph) {

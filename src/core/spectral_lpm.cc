@@ -14,27 +14,18 @@
 
 namespace spectral {
 
-SpectralMapper::SpectralMapper(SpectralLpmOptions options)
-    : options_(std::move(options)) {}
+StatusOr<Graph> BuildWorkingGraph(const PointSet& points,
+                                  const SpectralLpmOptions& options) {
+  auto graph = BuildPointGraph(points, options.graph);
+  if (!graph.ok() || options.affinity_edges.empty()) return graph;
 
-StatusOr<SpectralLpmResult> SpectralMapper::Map(const PointSet& points) const {
-  if (points.empty()) {
-    return InvalidArgumentError("cannot map an empty point set");
-  }
-  auto graph = BuildPointGraph(points, options_.graph);
-  if (!graph.ok()) return graph.status();
-
-  if (options_.affinity_edges.empty()) {
-    return MapGraph(*graph, &points);
-  }
-  // Merge the neighborhood edges with the user's affinity edges.
   std::vector<GraphEdge> edges;
   edges.reserve(static_cast<size_t>(graph->num_edges()) +
-                options_.affinity_edges.size());
+                options.affinity_edges.size());
   graph->ForEachEdge([&](int64_t u, int64_t v, double w) {
     edges.push_back({u, v, w});
   });
-  for (const GraphEdge& e : options_.affinity_edges) {
+  for (const GraphEdge& e : options.affinity_edges) {
     if (e.u < 0 || e.u >= points.size() || e.v < 0 || e.v >= points.size()) {
       return InvalidArgumentError("affinity edge endpoint out of range");
     }
@@ -46,8 +37,56 @@ StatusOr<SpectralLpmResult> SpectralMapper::Map(const PointSet& points) const {
     }
     edges.push_back(e);
   }
-  const Graph merged = Graph::FromEdges(points.size(), edges);
-  return MapGraph(merged, &points);
+  return Graph::FromEdges(points.size(), edges);
+}
+
+std::vector<Vector> SubsetAxes(const PointSet* points,
+                               std::span<const int64_t> verts,
+                               const SpectralLpmOptions& options) {
+  if (points == nullptr || !options.canonicalize_with_axes) return {};
+  PointSet subset(points->dims());
+  for (int64_t v : verts) subset.Add((*points)[v]);
+  return subset.CenteredAxisFunctions();
+}
+
+std::vector<int64_t> RankQuantizedOrder(std::span<const double> values,
+                                        std::span<const int64_t> ids,
+                                        const SpectralLpmOptions& options) {
+  SPECTRAL_CHECK_EQ(values.size(), ids.size());
+  // Grid eigenvectors are constant along whole slices (product
+  // structure), so exact ties are common; quantizing resolves them by id
+  // instead of by solver-specific noise.
+  const double quantum = options.rank_quantum_rel > 0.0
+                             ? options.rank_quantum_rel * NormInf(values)
+                             : 0.0;
+  auto key_of = [&](double v) -> int64_t {
+    return quantum > 0.0 ? static_cast<int64_t>(std::llround(v / quantum))
+                         : 0;
+  };
+  std::vector<int64_t> order(values.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    const double va = values[static_cast<size_t>(a)];
+    const double vb = values[static_cast<size_t>(b)];
+    const int64_t ka = key_of(va);
+    const int64_t kb = key_of(vb);
+    if (ka != kb) return ka < kb;
+    if (quantum == 0.0 && va != vb) return va < vb;
+    return ids[static_cast<size_t>(a)] < ids[static_cast<size_t>(b)];
+  });
+  return order;
+}
+
+SpectralMapper::SpectralMapper(SpectralLpmOptions options)
+    : options_(std::move(options)) {}
+
+StatusOr<SpectralLpmResult> SpectralMapper::Map(const PointSet& points) const {
+  if (points.empty()) {
+    return InvalidArgumentError("cannot map an empty point set");
+  }
+  auto graph = BuildWorkingGraph(points, options_);
+  if (!graph.ok()) return graph.status();
+  return MapGraph(*graph, &points);
 }
 
 StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
@@ -158,12 +197,7 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
          m >= options_.multilevel_threshold) ||
         (block_capable && options_.warm_start_threshold > 0 &&
          m >= options_.warm_start_threshold);
-    std::vector<Vector> axes;
-    if (points != nullptr && options_.canonicalize_with_axes) {
-      PointSet sub_points(points->dims());
-      for (int64_t v : verts) sub_points.Add((*points)[v]);
-      axes = sub_points.CenteredAxisFunctions();
-    }
+    const std::vector<Vector> axes = SubsetAxes(points, verts, options_);
     FiedlerOptions fiedler_options = options_.fiedler;
     fiedler_options.matvec_pool = pool;
     StatusOr<FiedlerResult> fiedler = [&]() -> StatusOr<FiedlerResult> {
@@ -240,32 +274,9 @@ StatusOr<SpectralLpmResult> SpectralMapper::MapGraph(
       }
     }
 
-    // Step 5: order by Fiedler component. Components are quantized first so
-    // exact eigenvector ties (grid eigenvectors are constant along whole
-    // slices) resolve by point index, not by solver-specific noise.
-    double quantum = 0.0;
-    if (options_.rank_quantum_rel > 0.0) {
-      quantum = options_.rank_quantum_rel * NormInf(values);
-    }
-    auto key_of = [&](int64_t a) -> int64_t {
-      const double v = values[static_cast<size_t>(a)];
-      return quantum > 0.0
-                 ? static_cast<int64_t>(std::llround(v / quantum))
-                 : 0;
-    };
-    std::vector<int64_t> by_value(static_cast<size_t>(m));
-    std::iota(by_value.begin(), by_value.end(), 0);
-    std::sort(by_value.begin(), by_value.end(), [&](int64_t a, int64_t b) {
-      const int64_t ka = key_of(a);
-      const int64_t kb = key_of(b);
-      if (ka != kb) return ka < kb;
-      if (quantum == 0.0) {
-        const double va = values[static_cast<size_t>(a)];
-        const double vb = values[static_cast<size_t>(b)];
-        if (va != vb) return va < vb;
-      }
-      return verts[static_cast<size_t>(a)] < verts[static_cast<size_t>(b)];
-    });
+    // Step 5: order by (quantized) Fiedler component.
+    const std::vector<int64_t> by_value =
+        RankQuantizedOrder(values, verts, options_);
     for (int64_t k = 0; k < m; ++k) {
       const int64_t v = verts[static_cast<size_t>(by_value[static_cast<size_t>(k)])];
       ranks[static_cast<size_t>(v)] = next_rank++;

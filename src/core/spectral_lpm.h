@@ -14,6 +14,7 @@
 #define SPECTRAL_LPM_CORE_SPECTRAL_LPM_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/linear_order.h"
@@ -49,22 +50,21 @@ struct SpectralLpmOptions {
   /// instead of depending on 1e-12-level solver noise.
   double rank_quantum_rel = 1e-7;
   /// Components with at least this many vertices get the multilevel warm
-  /// start: build the heavy-edge-matching hierarchy once, dense-solve the
-  /// coarsest Laplacian, prolong + smooth the eigenvector block up, and
-  /// feed it to the block solver so the fine-level solve only polishes
+  /// start when their solve takes the block path: build the
+  /// heavy-edge-matching hierarchy once, dense-solve the coarsest
+  /// Laplacian, prolong + smooth the eigenvector block up, and feed it to
+  /// the block solver so the fine-level solve only polishes
   /// (core/multilevel.h). Same order as a cold solve — the fine solve
   /// converges to the same tolerance either way (property-tested) — at a
   /// fraction of the matvec/reorthogonalization cost. 0 disables warm
   /// starts (cold block solves everywhere).
   int64_t warm_start_threshold = 256;
-  /// Legacy trigger for the "spectral-multilevel" engine: components with
-  /// at least this many vertices also take the warm-started path. Since
-  /// the fine solve now polishes to full accuracy and canonicalizes with
-  /// the axes, this path produces the *same order* as the flat engine —
-  /// the two knobs differ only in who sets them. 0 leaves the decision to
-  /// warm_start_threshold.
+  /// Components with at least this many vertices take the warm-started
+  /// path even when FiedlerOptions::method forces kDense or kLanczos (a
+  /// forced kDense above dense_threshold then runs the block solver). 0,
+  /// the default, leaves the decision to warm_start_threshold.
   int64_t multilevel_threshold = 0;
-  /// Hierarchy/smoothing shape for the warm-started path. Its embedded
+  /// Hierarchy shape for the warm-started path. Its embedded
   /// FiedlerOptions is ignored here: `fiedler` above governs the finest
   /// solve on every path.
   MultilevelOptions multilevel;
@@ -124,6 +124,30 @@ struct SpectralLpmResult {
   /// and its order is a best-effort estimate. See FiedlerResult::converged.
   bool converged = true;
 };
+
+/// Step 1 for point inputs: the neighborhood graph of `points` under
+/// `options.graph`, merged with `options.affinity_edges`. Affinity edges
+/// must join two distinct in-range points with a positive weight, or the
+/// result is InvalidArgument. Every spectral-family engine builds its
+/// working graph here, so they agree on weights and on error text.
+StatusOr<Graph> BuildWorkingGraph(const PointSet& points,
+                                  const SpectralLpmOptions& options);
+
+/// The centered coordinate functions of the points at `verts` (global
+/// ids): the axes that canonicalize a degenerate Fiedler eigenspace of the
+/// subgraph over `verts`. Empty when `points` is null or
+/// options.canonicalize_with_axes is off.
+std::vector<Vector> SubsetAxes(const PointSet* points,
+                               std::span<const int64_t> verts,
+                               const SpectralLpmOptions& options);
+
+/// Step 5: the positions of `values` in ascending order. Values within
+/// options.rank_quantum_rel * max|value| of each other tie, and ties go to
+/// the lower `ids` entry (the positions' global vertex ids), so the order
+/// does not depend on 1e-12-level solver noise.
+std::vector<int64_t> RankQuantizedOrder(std::span<const double> values,
+                                        std::span<const int64_t> ids,
+                                        const SpectralLpmOptions& options);
 
 /// Maps multi-dimensional point sets to linear orders via the spectrum of
 /// their neighborhood graph.

@@ -134,6 +134,7 @@ StatusOr<FiedlerResult> LanczosPath(const SparseMatrix& laplacian,
 
   FiedlerResult result;
   result.method_used = "lanczos";
+  result.warm_started = warm_start != nullptr && !warm_start->empty();
 
   LanczosOptions lopt;
   lopt.max_basis = options.max_basis;
@@ -217,6 +218,7 @@ StatusOr<FiedlerResult> BlockLanczosPath(const SparseMatrix& laplacian,
 
   FiedlerResult result;
   result.method_used = warm ? "block-lanczos+warm" : "block-lanczos";
+  result.warm_started = warm;
   result.matvecs = lan->matvecs;
   result.cheb_matvecs = lan->cheb_matvecs;
   result.spmm_calls = lan->spmm_calls;

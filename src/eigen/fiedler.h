@@ -10,16 +10,16 @@
 //     num_pairs eigenpairs together (eigen/block_lanczos.h), with
 //     adaptive-degree Chebyshev filtering on the shifted operator
 //     shift * I - L doing the cheap reorthogonalization-free part of the
-//     convergence work. Callers that own a coarsening hierarchy pass a
-//     multilevel warm start (eigen/warm_start.h) through the `warm_start`
-//     argument, and the solve only polishes — this is what makes the
-//     *exact* spectral engine run at near-multilevel speed (the
-//     coarsen/prolong/smooth cascade is assembled by core/spectral_lpm and
-//     core/multilevel from one shared hierarchy build).
+//     convergence work. A caller with a good approximation passes it as
+//     `warm_start` and the solve only polishes: core/multilevel's
+//     ComputeFiedlerMultilevel feeds the coarsen/prolong/smooth cascade of
+//     eigen/warm_start.h here for large components, and recursive
+//     bisection feeds each child its parent's restricted Fiedler vector.
 //   * kLanczos — the scalar restarted Lanczos path with sequential
-//     deflation: one full solve per pair. Kept as the independent
-//     reference implementation (warm-vs-cold property tests pin the block
-//     path's orders against it); prefer kBlockLanczos everywhere else.
+//     deflation: one full solve per pair, seeded column by column from a
+//     warm start. Kept as the independent reference implementation
+//     (warm-vs-cold property tests pin the block path's orders against
+//     it); prefer kBlockLanczos everywhere else.
 //
 // Degenerate lambda2 (e.g. square grids, where the x- and y-modes tie) is
 // handled by canonicalization: within the near-degenerate eigenspace we
@@ -137,7 +137,7 @@ struct FiedlerResult {
   /// column amortization the fused kernel achieved.
   int64_t spmm_calls = 0;
   /// Reorthogonalization panel-kernel applications by the block path
-  /// (see linalg/block_ops.h).
+  /// (see linalg/packed_basis.h).
   int64_t reorth_panels = 0;
   /// Restart cycles consumed by the iterative paths (summed over the
   /// sequential solves for kLanczos).
@@ -146,7 +146,14 @@ struct FiedlerResult {
   /// path (zero for the dense and scalar paths); additive across
   /// multilevel/component solves. See eigen/kernel_profile.h.
   KernelProfile profile;
+  /// "dense-jacobi", "lanczos" or "block-lanczos[+warm]", prefixed with
+  /// "multilevel(...)+" by ComputeFiedlerMultilevel. A label for logs and
+  /// `detail`; code branches on the typed fields.
   std::string method_used;
+  /// True when a Krylov path (block or scalar) was seeded with the caller's
+  /// `warm_start`; false for cold solves and for the dense path, which
+  /// ignores the start.
+  bool warm_started = false;
   /// False when the iterative paths exhausted max_restarts before the
   /// Fiedler pair met tolerance. The result then carries the best-effort
   /// pair (still unit-norm, still canonicalized) instead of an error, and

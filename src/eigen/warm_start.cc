@@ -14,16 +14,27 @@ namespace spectral {
 
 namespace {
 
+// Weighted-Jacobi smoothing after each prolongation.
+constexpr int kSmoothSteps = 2;
+constexpr double kJacobiOmega = 2.0 / 3.0;
+// Largest coarsest level still solved with the dense reference. Beyond it
+// (heavy-edge matching stalled very early) the coarsest level gets a cold
+// block solve to this loose tolerance: it only seeds the finest solve.
+constexpr int64_t kDenseLimit = 512;
+constexpr double kCoarseTol = 1e-4;
+constexpr int kCoarseMaxBasis = 24;
+constexpr int kCoarseMaxRestarts = 4;
+
 Vector OnesKernel(int64_t n) {
   return Vector(static_cast<size_t>(n),
                 1.0 / std::sqrt(static_cast<double>(n)));
 }
 
-// `steps` sweeps of weighted Jacobi on the eigen-residual L x - rho(x) x:
-// the classic multigrid smoother, damping exactly the high-frequency error
-// that piecewise-constant prolongation introduces.
-void JacobiSmoothBlock(const SparseMatrix& lap, int steps, double omega,
-                       VectorBlock& block, int64_t& matvecs) {
+// kSmoothSteps sweeps of weighted Jacobi on the eigen-residual
+// L x - rho(x) x: the classic multigrid smoother, damping exactly the
+// high-frequency error that piecewise-constant prolongation introduces.
+void JacobiSmoothBlock(const SparseMatrix& lap, VectorBlock& block,
+                       int64_t& matvecs) {
   const int64_t n = lap.rows();
   const Vector diag = lap.Diagonal();
   Vector inv_diag(static_cast<size_t>(n), 0.0);
@@ -31,7 +42,7 @@ void JacobiSmoothBlock(const SparseMatrix& lap, int steps, double omega,
     if (diag[i] > 0.0) inv_diag[i] = 1.0 / diag[i];
   }
   Vector y(static_cast<size_t>(n));
-  for (int step = 0; step < steps; ++step) {
+  for (int step = 0; step < kSmoothSteps; ++step) {
     for (Vector& x : block) {
       lap.MatVec(x, y);
       ++matvecs;
@@ -39,39 +50,10 @@ void JacobiSmoothBlock(const SparseMatrix& lap, int steps, double omega,
       if (norm2 <= 0.0) continue;
       const double rho = Dot(x, y) / norm2;
       for (size_t i = 0; i < x.size(); ++i) {
-        x[i] -= omega * inv_diag[i] * (y[i] - rho * x[i]);
+        x[i] -= kJacobiOmega * inv_diag[i] * (y[i] - rho * x[i]);
       }
     }
   }
-}
-
-// Loose-tolerance polish of `block` against this level's Laplacian. Best
-// effort by design: a non-converged (or failed) polish leaves the smoothed
-// block in place — the warm start must never be able to sink the solve.
-void PolishBlock(const SparseMatrix& lap, const WarmStartOptions& options,
-                 VectorBlock& block, int64_t& matvecs) {
-  const int64_t n = lap.rows();
-  const double shift = lap.GershgorinBound() * 1.0001 + 1e-12;
-  SparseOperator lap_op(&lap);
-  const ShiftNegateOperator op(&lap_op, shift);
-  std::vector<Vector> deflate;
-  deflate.push_back(OnesKernel(n));
-
-  BlockLanczosOptions lopt;
-  lopt.num_pairs = static_cast<int>(block.size());
-  lopt.block_size = static_cast<int>(block.size()) + 2;
-  lopt.max_basis = options.level_max_basis;
-  lopt.max_restarts = options.level_max_restarts;
-  lopt.tol = options.level_tol;
-  lopt.seed = options.seed;
-  lopt.cheb_degree_max = options.cheb_degree_max;
-  lopt.start = block;
-  auto polished = LargestEigenpairsBlock(op, deflate, lopt);
-  if (!polished.ok()) return;
-  matvecs += polished->matvecs;
-  if (polished->eigenvectors.empty()) return;
-  // Largest theta of shift*I - L first == ascending Laplacian eigenvalues.
-  block = std::move(polished->eigenvectors);
 }
 
 }  // namespace
@@ -99,7 +81,7 @@ StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
   }
   const int64_t vectors = std::min<int64_t>(options.num_vectors, cn - 1);
   VectorBlock block;
-  if (cn <= options.dense_limit) {
+  if (cn <= kDenseLimit) {
     auto eig = JacobiEigenSolve(DenseMatrix::FromSparse(coarsest));
     if (!eig.ok()) return eig.status();
     const double zero_tol = 1e-8 * std::max(1.0, coarsest.GershgorinBound());
@@ -127,12 +109,9 @@ StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
     deflate.push_back(OnesKernel(cn));
     BlockLanczosOptions lopt;
     lopt.num_pairs = static_cast<int>(vectors);
-    lopt.max_basis = options.level_max_basis;
-    // This is the only solve the coarsest level gets, so it needs a real
-    // restart budget even when the per-level polish is disabled
-    // (level_max_restarts == 0, the default).
-    lopt.max_restarts = std::max(options.level_max_restarts, 4);
-    lopt.tol = options.level_tol;
+    lopt.max_basis = kCoarseMaxBasis;
+    lopt.max_restarts = kCoarseMaxRestarts;
+    lopt.tol = kCoarseTol;
     lopt.seed = options.seed;
     lopt.cheb_degree_max = options.cheb_degree_max;
     auto coarse = LargestEigenpairsBlock(op, deflate, lopt);
@@ -147,7 +126,7 @@ StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
     }
   }
 
-  // --- Ascend: prolong, smooth, loosely polish every intermediate level.
+  // --- Ascend: prolong and smooth every finer level.
   for (size_t k = levels.size() - 1; k-- > 0;) {
     const SparseMatrix& lap = levels[k].laplacian;
     const std::vector<int64_t>& map = levels[k].fine_to_coarse;
@@ -160,16 +139,12 @@ StatusOr<WarmStartResult> MultilevelFiedlerWarmStart(
       }
       column = std::move(fine);
     }
-    JacobiSmoothBlock(lap, options.smooth_steps, options.jacobi_omega, block,
-                      result.matvecs);
+    JacobiSmoothBlock(lap, block, result.matvecs);
     std::vector<Vector> kernel;
     kernel.push_back(OnesKernel(n));
     OrthogonalizeBlockAgainst(kernel, block);
     OrthonormalizeBlock(block);
     if (block.empty()) break;  // degenerate smoothing collapse: cold start
-    if (k > 0 && options.level_max_restarts > 0 && options.level_tol > 0) {
-      PolishBlock(lap, options, block, result.matvecs);
-    }
   }
 
   result.block = std::move(block);

@@ -14,10 +14,13 @@
 // bit, the arithmetic of the corresponding vector_ops.h / block_ops.h
 // kernel on std::vector<Vector> columns — same accumulation order
 // (ascending row index per coefficient, ascending panel lane per
-// element), same two-pass BCGS2 structure, same drop rules. Parallelism
-// is only ever across independent output columns, gated by the shared
-// kMinParallelWork threshold, so results are byte-identical for any pool
-// size including none.
+// element), same two-pass BCGS2 structure, same drop rules. The unpacked
+// block_ops.h kernels stay as the reference these are tested against
+// (and as the warm start's kernels on its one small block); the block
+// solver and bench_eigensolver's kernel rows run the packed ones.
+// Parallelism is only ever across independent output columns, gated by
+// the shared kMinParallelWork threshold, so results are byte-identical
+// for any pool size including none.
 
 #ifndef SPECTRAL_LPM_LINALG_PACKED_BASIS_H_
 #define SPECTRAL_LPM_LINALG_PACKED_BASIS_H_

@@ -74,34 +74,12 @@ void SparseMatrix::MatVecRows(int64_t first, int64_t last,
 
 namespace {
 
-// Fixed-width row kernel behind MatVecRowsBlock: the W accumulators live in
-// registers (no y round trip per nonzero, no aliasing with x), and each
-// lane still sums its row's nonzeros in ascending-k order — exactly
-// MatVecRows' order — so the result stays bit-identical to per-column
-// MatVec while the independent lanes vectorize.
-template <int W>
-void MatVecRowsBlockFixed(const int64_t* __restrict row_ptr,
-                          const int64_t* __restrict col_idx,
-                          const double* __restrict values, int64_t first,
-                          int64_t last, const double* __restrict x,
-                          double* __restrict y) {
-  for (int64_t i = first; i < last; ++i) {
-    double acc[W] = {};
-    for (int64_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const double v = values[k];
-      const double* xr = x + col_idx[k] * W;
-      for (int c = 0; c < W; ++c) acc[c] += v * xr[c];
-    }
-    double* yr = y + i * W;
-    for (int c = 0; c < W; ++c) yr[c] = acc[c];
-  }
-}
-
-// Strided variant of MatVecRowsBlockFixed: identical per-lane arithmetic
-// (ascending-k accumulation in W register lanes), only the addressing
-// changes from a dense width-W block to panels with leading dimensions
-// x_ld / y_ld. No __restrict on x/y: callers may pass panels of the same
-// backing buffer (always disjoint column ranges).
+// Fixed-width row kernel behind MatVecRowsPanel: the W accumulators live in
+// registers (no y round trip per nonzero), and each lane still sums its
+// row's nonzeros in ascending-k order — exactly MatVecRows' order — so the
+// result stays bit-identical to per-column MatVec while the independent
+// lanes vectorize. No __restrict on x/y: callers may pass panels of the
+// same backing buffer (always disjoint column ranges).
 template <int W>
 void MatVecRowsPanelFixed(const int64_t* __restrict row_ptr,
                           const int64_t* __restrict col_idx,
@@ -162,66 +140,13 @@ void SparseMatrix::MatVecRowsPanel(int64_t first, int64_t last, int64_t width,
     default:
       break;
   }
-  // Wide fallback: same per-lane k-order.
+  // Wide fallback (no hot path uses width > 8): same per-lane k-order.
   for (int64_t i = first; i < last; ++i) {
     double* yr = y + i * y_ld;
     for (int64_t c = 0; c < width; ++c) yr[c] = 0.0;
     for (int64_t k = row_begin(i); k < row_end(i); ++k) {
       const double v = values_[static_cast<size_t>(k)];
       const double* xr = x + col_idx_[static_cast<size_t>(k)] * x_ld;
-      for (int64_t c = 0; c < width; ++c) yr[c] += v * xr[c];
-    }
-  }
-}
-
-void SparseMatrix::MatVecRowsBlock(int64_t first, int64_t last, int64_t width,
-                                   std::span<const double> x,
-                                   std::span<double> y) const {
-  SPECTRAL_CHECK_GE(width, 1);
-  SPECTRAL_CHECK_EQ(static_cast<int64_t>(x.size()), cols_ * width);
-  SPECTRAL_CHECK_EQ(static_cast<int64_t>(y.size()), rows_ * width);
-  SPECTRAL_CHECK_GE(first, 0);
-  SPECTRAL_CHECK_LE(first, last);
-  SPECTRAL_CHECK_LE(last, rows_);
-  const int64_t* rp = row_ptr_.data();
-  const int64_t* ci = col_idx_.data();
-  const double* vv = values_.data();
-  switch (width) {
-    case 1:
-      return MatVecRowsBlockFixed<1>(rp, ci, vv, first, last, x.data(),
-                                     y.data());
-    case 2:
-      return MatVecRowsBlockFixed<2>(rp, ci, vv, first, last, x.data(),
-                                     y.data());
-    case 3:
-      return MatVecRowsBlockFixed<3>(rp, ci, vv, first, last, x.data(),
-                                     y.data());
-    case 4:
-      return MatVecRowsBlockFixed<4>(rp, ci, vv, first, last, x.data(),
-                                     y.data());
-    case 5:
-      return MatVecRowsBlockFixed<5>(rp, ci, vv, first, last, x.data(),
-                                     y.data());
-    case 6:
-      return MatVecRowsBlockFixed<6>(rp, ci, vv, first, last, x.data(),
-                                     y.data());
-    case 7:
-      return MatVecRowsBlockFixed<7>(rp, ci, vv, first, last, x.data(),
-                                     y.data());
-    case 8:
-      return MatVecRowsBlockFixed<8>(rp, ci, vv, first, last, x.data(),
-                                     y.data());
-    default:
-      break;
-  }
-  // Wide fallback (no hot path uses width > 8): same per-lane k-order.
-  for (int64_t i = first; i < last; ++i) {
-    double* yr = &y[static_cast<size_t>(i * width)];
-    for (int64_t c = 0; c < width; ++c) yr[c] = 0.0;
-    for (int64_t k = row_begin(i); k < row_end(i); ++k) {
-      const double v = values_[static_cast<size_t>(k)];
-      const double* xr =
-          &x[static_cast<size_t>(col_idx_[static_cast<size_t>(k)] * width)];
       for (int64_t c = 0; c < width; ++c) yr[c] += v * xr[c];
     }
   }

@@ -282,6 +282,45 @@ TEST(BlockLanczos, ByteIdenticalAcrossPoolSizes) {
   }
 }
 
+// Pooled panel applies above kDefaultMinParallelRows (so the row
+// partition really runs) on panels with ld > width: every column equals
+// the operator's own per-column Apply bit for bit.
+TEST(Operators, PooledApplyPanelMatchesPerColumnApply) {
+  const SparseMatrix lap = BuildLaplacian(BuildGridGraph(GridSpec({60, 50})));
+  const int64_t n = lap.rows();
+  ASSERT_GT(n, kDefaultMinParallelRows);
+  ThreadPool pool(3);
+  const SparseOperator sparse(&lap, &pool);
+  const ShiftNegateOperator shifted(&sparse, lap.GershgorinBound() * 1.0001);
+  Rng rng(0xa991e);
+  for (const LinearOperator* op :
+       {static_cast<const LinearOperator*>(&sparse),
+        static_cast<const LinearOperator*>(&shifted)}) {
+    for (int64_t width : {3, 8}) {
+      const int64_t x_ld = width + 2;
+      const int64_t y_ld = width + 1;
+      std::vector<double> x(static_cast<size_t>(n * x_ld));
+      for (double& v : x) v = rng.UniformDouble(-1.0, 1.0);
+      std::vector<double> y(static_cast<size_t>(n * y_ld), 0.0);
+      op->ApplyPanel(width, x.data(), x_ld, y.data(), y_ld);
+      Vector column(static_cast<size_t>(n));
+      Vector expected(static_cast<size_t>(n));
+      for (int64_t c = 0; c < width; ++c) {
+        for (int64_t j = 0; j < n; ++j) {
+          column[static_cast<size_t>(j)] =
+              x[static_cast<size_t>(j * x_ld + c)];
+        }
+        op->Apply(column, expected);
+        for (int64_t j = 0; j < n; ++j) {
+          ASSERT_EQ(y[static_cast<size_t>(j * y_ld + c)],
+                    expected[static_cast<size_t>(j)])
+              << "width=" << width << " row " << j << " col " << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(BlockOps, OrthonormalizeDropsDependentColumns) {
   VectorBlock block = {{1.0, 0.0, 0.0},
                        {2.0, 0.0, 0.0},  // parallel to the first: dropped

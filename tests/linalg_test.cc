@@ -1,10 +1,13 @@
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse_matrix.h"
 #include "linalg/vector_ops.h"
+#include "util/random.h"
 
 namespace spectral {
 namespace {
@@ -129,6 +132,61 @@ TEST(SparseMatrix, EmptyMatrix) {
   const SparseMatrix m = SparseMatrix::FromTriplets(0, 0, {});
   EXPECT_EQ(m.rows(), 0);
   EXPECT_EQ(m.nnz(), 0);
+}
+
+// n x n with a random number (0-6) of random-valued entries per row.
+SparseMatrix RandomSparse(int64_t n, Rng& rng) {
+  std::vector<Triplet> t;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t count = rng.UniformInt(0, 6);
+    for (int64_t k = 0; k < count; ++k) {
+      t.push_back({i, rng.UniformInt(0, n - 1), rng.UniformDouble(-2.0, 2.0)});
+    }
+  }
+  return SparseMatrix::FromTriplets(n, n, std::move(t));
+}
+
+// The SpMM kernel on panels with ld > width, over the whole row range and
+// over a sub-range: every computed entry equals per-column MatVec bit for
+// bit, and rows outside [first, last) and lanes past `width` are untouched.
+// Widths 1-8 take the fixed-width kernels, 11 the wide fallback.
+TEST(SparseMatrix, MatVecRowsPanelMatchesPerColumnMatVec) {
+  constexpr int64_t n = 97;
+  constexpr double kSentinel = -7.25;
+  Rng rng(0x5a11);
+  const SparseMatrix m = RandomSparse(n, rng);
+  for (int64_t width : {1, 2, 3, 4, 5, 6, 7, 8, 11}) {
+    const int64_t x_ld = width + 3;
+    const int64_t y_ld = width + 5;
+    std::vector<double> x(static_cast<size_t>(n * x_ld));
+    for (double& v : x) v = rng.UniformDouble(-1.0, 1.0);
+    std::vector<Vector> expected(static_cast<size_t>(width));
+    Vector column(static_cast<size_t>(n));
+    for (int64_t c = 0; c < width; ++c) {
+      for (int64_t j = 0; j < n; ++j) {
+        column[static_cast<size_t>(j)] = x[static_cast<size_t>(j * x_ld + c)];
+      }
+      expected[static_cast<size_t>(c)].resize(static_cast<size_t>(n));
+      m.MatVec(column, expected[static_cast<size_t>(c)]);
+    }
+    for (const auto& [first, last] :
+         {std::pair<int64_t, int64_t>{0, n}, {13, 61}}) {
+      std::vector<double> y(static_cast<size_t>(n * y_ld), kSentinel);
+      m.MatVecRowsPanel(first, last, width, x.data(), x_ld, y.data(), y_ld);
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t c = 0; c < y_ld; ++c) {
+          const double got = y[static_cast<size_t>(i * y_ld + c)];
+          if (i < first || i >= last || c >= width) {
+            ASSERT_EQ(got, kSentinel) << "width=" << width << " row " << i;
+          } else {
+            ASSERT_EQ(got, expected[static_cast<size_t>(c)]
+                               [static_cast<size_t>(i)])
+                << "width=" << width << " row " << i << " col " << c;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -253,17 +253,38 @@ TEST(OrderingEngineRegistry, ParallelSolveOnLargeSingleComponent) {
   EXPECT_EQ(serial->matvecs, parallel->matvecs);
 }
 
-TEST(OrderingEngineRegistry, MultilevelEngineAppliesDefaultThreshold) {
-  // 32x32 = 1024 vertices > the 256 default threshold: the multilevel
-  // engine must produce a valid permutation of the same size.
+TEST(OrderingEngineRegistry, MultilevelNameIsAnAliasOfSpectral) {
+  // "spectral-multilevel" answers to its own name and only accepts
+  // requests addressed to it; packed_identity_test pins that it returns
+  // the same bytes as "spectral".
   const PointSet points = PointSet::FullGrid(GridSpec({32, 32}));
-  auto engine = MakeOrderingEngine("spectral-multilevel");
-  ASSERT_TRUE(engine.ok());
-  auto result = (*engine)->Order(
+  auto alias = MakeOrderingEngine("spectral-multilevel");
+  ASSERT_TRUE(alias.ok());
+  EXPECT_EQ((*alias)->name(), "spectral-multilevel");
+  auto result = (*alias)->Order(
       OrderingRequest::ForPoints(points, "spectral-multilevel"));
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->order.size(), points.size());
-  EXPECT_GT(result->lambda2, 0.0);
+  EXPECT_FALSE((*alias)->Order(OrderingRequest::ForPoints(points)).ok());
+}
+
+TEST(OrderingEngineRegistry, BadAffinityEdgeGetsOneErrorFromEverySpectralEngine) {
+  // The three point-input spectral engines build their working graph in
+  // one place, so they reject a bad affinity edge with the same text.
+  const PointSet points = PointSet::FullGrid(GridSpec({6, 6}));
+  for (const char* name : {"spectral", "bisection", "sharded-spectral"}) {
+    OrderingRequest request =
+        OrderingRequest::ForPointsWithAffinity(points, {{0, 36, 1.0}}, name);
+    request.options.sharded.num_shards = 2;
+    auto engine = MakeOrderingEngine(name);
+    ASSERT_TRUE(engine.ok()) << name;
+    auto result = (*engine)->Order(request);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(result.status().message(),
+              "affinity edge endpoint out of range")
+        << name;
+  }
 }
 
 }  // namespace

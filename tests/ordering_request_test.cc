@@ -162,10 +162,9 @@ TEST(OrderingRequestFingerprint, OnlyTheNamedEnginesOptionsParticipate) {
   // engine never reads must not split the cache key space...
   const PointSet points = MakePoints();
   {
-    // "spectral" ignores the multilevel default and the bisection shape.
+    // "spectral" ignores the bisection shape.
     const OrderingRequest base_request = OrderingRequest::ForPoints(points);
     OrderingRequest r = base_request;
-    r.options.multilevel_default_threshold = 1024;
     r.options.bisection.leaf_size = 16;
     r.options.bisection.max_depth = 8;
     EXPECT_EQ(r.Fingerprint(), base_request.Fingerprint());
@@ -198,11 +197,19 @@ TEST(OrderingRequestFingerprint, OnlyTheNamedEnginesOptionsParticipate) {
     EXPECT_EQ(ignored_base.Fingerprint(), base);
   }
   {
+    // "spectral-multilevel" is an alias of "spectral": it reads the same
+    // options, but its fingerprint keeps the name it was asked for, so
+    // the two names never share a cache entry.
     const OrderingRequest base_request =
         OrderingRequest::ForPoints(points, "spectral-multilevel");
-    OrderingRequest r = base_request;
-    r.options.multilevel_default_threshold = 1024;
-    EXPECT_NE(r.Fingerprint(), base_request.Fingerprint());
+    EXPECT_NE(base_request.Fingerprint(),
+              OrderingRequest::ForPoints(points).Fingerprint());
+    OrderingRequest ignored = base_request;
+    ignored.options.bisection.leaf_size = 16;
+    EXPECT_EQ(ignored.Fingerprint(), base_request.Fingerprint());
+    OrderingRequest read = base_request;
+    read.options.spectral.warm_start_threshold = 0;
+    EXPECT_NE(read.Fingerprint(), base_request.Fingerprint());
   }
   {
     // sharded-spectral reads the spectral options plus its shard shape,

@@ -203,5 +203,30 @@ TEST(RecursiveBisection, WarmStartedChildrenMatchColdOrders) {
   EXPECT_LT(warm_result->matvecs, cold_result->matvecs);
 }
 
+TEST(RecursiveBisection, CountsWarmSolvesOnTheScalarLanczosPath) {
+  // warm_solves counts the solves that consumed a parent start, whichever
+  // Krylov path ran them. The scalar path keeps its "lanczos" label when
+  // warm, so the count must come from FiedlerResult::warm_started, not the
+  // label. Scalar warm and cold runs differ in solve count here, so only
+  // the counters are compared, not the orders.
+  const PointSet points = PointSet::FullGrid(GridSpec({24, 24}));
+  RecursiveBisectionOptions warm;
+  warm.base.fiedler.method = FiedlerMethod::kLanczos;
+  warm.base.fiedler.dense_threshold = 32;
+  warm.warm_start_children = true;
+  auto warm_result = RecursiveSpectralOrder(points, warm);
+  ASSERT_TRUE(warm_result.ok()) << warm_result.status();
+
+  RecursiveBisectionOptions cold = warm;
+  cold.warm_start_children = false;
+  auto cold_result = RecursiveSpectralOrder(points, cold);
+  ASSERT_TRUE(cold_result.ok()) << cold_result.status();
+
+  EXPECT_LT(warm_result->matvecs, cold_result->matvecs);
+  EXPECT_GT(warm_result->warm_solves, 0);
+  EXPECT_LT(warm_result->warm_solves, warm_result->num_solves);
+  EXPECT_EQ(cold_result->warm_solves, 0);
+}
+
 }  // namespace
 }  // namespace spectral

@@ -201,10 +201,9 @@ TEST(WarmStart, DetectsDisconnectionThroughTheHierarchy) {
 TEST(WarmStart, StalledCoarseningFallsBackToColdCoarsestSolve) {
   // A 600-vertex star stalls heavy-edge matching immediately (only the hub
   // can match), so the hierarchy has zero steps and the "coarsest" level
-  // is the 600-vertex input — above dense_limit, which routes into the
-  // cold loose block-solve fallback. That path must work even with the
-  // default level_max_restarts == 0 (regression: it used to CHECK-fail on
-  // a zero restart budget).
+  // is the 600-vertex input — above the 512-vertex dense limit, which
+  // routes into the cold loose block-solve fallback (regression: it used
+  // to CHECK-fail on a zero restart budget).
   const int64_t n = 600;
   std::vector<GraphEdge> edges;
   for (int64_t leaf = 1; leaf < n; ++leaf) edges.push_back({0, leaf, 1.0});

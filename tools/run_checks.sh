@@ -151,6 +151,30 @@ lint() {
     failed=1
   fi
 
+  # Result text is for people and logs: library code branches on typed
+  # fields (OrderingResult::cache, FiedlerResult::warm_started, ...), never
+  # on a substring search of a `detail` or `method_used` string.
+  if grep -rnE --include='*.cc' --include='*.h' \
+       '\b(detail|method_used)\s*\.\s*(r?find|find_(first|last)_(not_)?of|starts_with|ends_with|contains|substr|compare)\s*\(' \
+       src 2>/dev/null; then
+    echo "FAIL: substring search of a detail/method_used string in src/" \
+         "(see above); branch on a typed result field instead"
+    failed=1
+  fi
+
+  # Build trees are never committed (.gitignore's /*build*/ covers them).
+  # Skipped outside a git work tree, e.g. in an exported source archive.
+  if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    local tracked_build
+    tracked_build="$(git ls-files | grep -E '^[^/]*build[^/]*/' | head -5)"
+    if [ -n "${tracked_build}" ]; then
+      echo "${tracked_build}"
+      echo "FAIL: files under a build directory are tracked by git (first" \
+           "five above); git rm -r --cached the directory"
+      failed=1
+    fi
+  fi
+
   if [ "${failed}" -ne 0 ]; then
     return 1
   fi
